@@ -439,15 +439,17 @@ def verify_truncation_margins(ell: int, r: int, t: int) -> TruncationMarginRepor
         val = truncation_margin_low(ell, r, t, x)
         rows.append(MarginRow(x, "low", val, val > 0))
     # closed form at x = 0
-    assert 2 * truncation_margin_low(ell, r, t, 0) == (ell - 1) * (r * (r + 1) - ell)
+    if 2 * truncation_margin_low(ell, r, t, 0) != (ell - 1) * (r * (r + 1) - ell):
+        raise AssertionError(f"low margin at x=0 disagrees with its closed form for {(ell, r, t)}")
 
     prev_h = None
     for x in range(r + 1, ell):
         val = truncation_margin_high(ell, r, t, x)
         h = truncation_margin_linear_factor(ell, r, t, x)
-        assert 2 * val == (ell - x) * h
-        if prev_h is not None:
-            assert h > prev_h  # slope ell*t - 1 > 0
+        if 2 * val != (ell - x) * h:
+            raise AssertionError(f"high margin at x={x} disagrees with (ell - x)/2 * h for {(ell, r, t)}")
+        if prev_h is not None and h <= prev_h:  # slope ell*t - 1 > 0
+            raise AssertionError(f"h is not increasing at x={x} for {(ell, r, t)}")
         prev_h = h
         rows.append(MarginRow(x, "high", val, val > 0))
 

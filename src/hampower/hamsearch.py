@@ -21,6 +21,15 @@ tractable:
     plus the reflection pivot), so exhausted states are recorded as packed
     integers and never re-explored.
 
+Each node does little besides bit operations.  Everything that depends only
+on the position (the window slots a child inherits, the head slots that wrap
+round to it, the forward check's (slot, needed) pairs) sits in tables built
+once per (n, m) and cached.  A node ANDs the rows its children share once and
+passes `keep & adj[child]` down as the child's candidate base.  The memo key
+rolls down with the search: the last m labels are shifted in one at a time,
+and the head is packed once per visit of slot m + 1.  Labels occupy fields of
+(n - 1).bit_length() bits, so keys stay injective at every n.
+
 Verdicts are exact: Found comes with a verified witness, NotFound only after
 exhausting the pruned tree, and a spent node budget yields Unknown, never a
 wrong answer.  The node count is deterministic, so Unknown is reproducible.
@@ -28,7 +37,9 @@ wrong answer.  The node count is deterministic, so Unknown is reproducible.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph
 
@@ -72,6 +83,28 @@ class _BudgetSpent(Exception):
     pass
 
 
+@lru_cache(maxsize=256)
+def _tables(n: int, m: int) -> tuple[tuple, tuple]:
+    """Per-position tables (carry, checks) shared by every search on n
+    vertices for the m-th power.
+
+    carry[pos]: the slots whose rows a vertex at pos + 1 must meet, apart
+    from the vertex at pos itself: the window slots max(0, pos + 1 - m) ..
+    pos - 1, then the head slots 0 .. m - (n - pos - 1) that wrap round to
+    it.  checks[pos]: the (slot, needed) pairs of the forward check at pos,
+    one per window slot q, needing min(q + m, n - 1) - pos + 1 unused
+    partners.
+    """
+    carry = []
+    checks = []
+    for pos in range(n):
+        nxt = pos + 1
+        heads = m - (n - nxt) + 1 if nxt >= n - m else 0
+        carry.append(tuple(range(max(0, nxt - m), pos)) + tuple(range(heads)))
+        checks.append(tuple((q, min(q + m, n - 1) - pos + 1) for q in range(max(0, pos - m), pos)))
+    return tuple(carry), tuple(checks)
+
+
 def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOutcome:
     """Decide membership in the m-th-power-of-Hamiltonian-cycle family.
 
@@ -99,66 +132,81 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
         adj[inv[u]] |= 1 << inv[v]
         adj[inv[v]] |= 1 << inv[u]
 
+    carry, checks = _tables(n, m)
     full = (1 << n) - 1
-    width = 6  # packed memo field width; enough for n < 64
+    width = (n - 1).bit_length()  # memo field width: fits every label 0 .. n-1
+    tail_shift = m * width
+    tail_mask = (1 << tail_shift) - 1
+    head_slots = range(1, max(m, 2))
+    head_bits = len(head_slots) * width
+    limit = budget if budget is not None else sys.maxsize  # no search gets near it
+    last = n - 1
     anchor = n - 1  # max-degree vertex after the relabeling
     order = [0] * n
+    rows = [0] * n  # rows[q] = adj[order[q]]
     order[0] = anchor
+    rows[0] = adj[anchor]
     nodes = 0
+    head = 0
     failed: set[int] = set()
 
-    def extend(pos: int, used: int) -> bool:
-        nonlocal nodes
+    def extend(pos: int, unused: int, base: int, tail: int) -> bool:
+        # base: AND of every row slot pos must meet; tail: the last m labels
+        nonlocal nodes, head
         key = None
         if pos > m:
-            k = used
-            for q in range(pos - m, pos):
-                k = (k << width) | order[q]
-            for q in range(1, max(m, 2)):
-                k = (k << width) | order[q]
-            key = k
+            if pos == m + 1:
+                head = 0
+                for q in head_slots:
+                    head = (head << width) | order[q]
+            key = (((unused << tail_shift) | tail) << head_bits) | head
             if key in failed:
                 return False
 
-        cand = ~used & full
-        for q in range(max(0, pos - m), pos):
-            cand &= adj[order[q]]
-        if pos >= n - m:
-            for q in range(0, m - (n - pos) + 1):
-                cand &= adj[order[q]]
-        if pos == n - 1:
+        cand = base & unused
+        if pos == last:
             cand &= -(1 << (order[1] + 1))  # reflection: last slot above the second
 
         if cand:
-            unused = ~used & full
             # the last m placed must keep enough unused partners for their windows
-            for q in range(max(0, pos - m), pos):
-                needed = min(q + m, n - 1) - pos + 1
-                if (adj[order[q]] & unused).bit_count() < needed:
+            for q, needed in checks[pos]:
+                if (rows[q] & unused).bit_count() < needed:
                     cand = 0
                     break
 
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _BudgetSpent
-            order[pos] = bit.bit_length() - 1
-            if pos + 1 == n or extend(pos + 1, used | bit):
-                return True
+        if cand:
+            keep = full
+            for q in carry[pos]:
+                keep &= rows[q]
+            nxt = pos + 1
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                nodes += 1
+                if nodes > limit:
+                    raise _BudgetSpent
+                v = bit.bit_length() - 1
+                order[pos] = v
+                row = rows[pos] = adj[v]
+                if nxt == n or extend(nxt, unused ^ bit, keep & row, ((tail << width) | v) & tail_mask):
+                    return True
         if key is not None and len(failed) < _MEMO_CAP:
             failed.add(key)
         return False
 
     try:
-        if extend(1, 1 << anchor):
+        if extend(1, full ^ (1 << anchor), rows[0], anchor):
             witness = tuple(perm[v] for v in order)
-            assert verify_witness(g, m, witness)
+            if not verify_witness(g, m, witness):
+                raise AssertionError(f"search produced an order that is not an m={m} cycle power: {witness}")
             return SearchOutcome(FOUND, witness, nodes)
         return SearchOutcome(NOT_FOUND, None, nodes)
     except _BudgetSpent:
         return SearchOutcome(UNKNOWN, None, nodes)
+    finally:
+        # extend reaches itself through its closure; without this the memo
+        # would live on until the next cyclic garbage collection
+        del extend
 
 
 def brute_force_contains(g: Graph, m: int) -> bool:

@@ -22,7 +22,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +33,14 @@ from .hamsearch import FOUND, NOT_FOUND, UNKNOWN, contains_ham_power
 _M64 = (1 << 64) - 1
 
 BASE_KINDS = ("complete", "empty", "patched_bipartite", "file")
+
+
+def _reject_unknown_keys(what: str, d: dict, cls) -> None:
+    """Raise ValueError if the JSON object d has a key that is not a field of cls."""
+    allowed = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}; expected some of {allowed}")
 
 
 def _splitmix64(x: int) -> int:
@@ -84,6 +92,7 @@ class BaseGraphSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "BaseGraphSpec":
+        _reject_unknown_keys("base", d, BaseGraphSpec)
         return BaseGraphSpec(
             kind=d["kind"],
             eps=Fraction(d["eps"]) if "eps" in d else None,
@@ -159,8 +168,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
+        _reject_unknown_keys("config", d, ExperimentConfig)
+        budget = d.get("budget")
+        if budget is not None and type(budget) is not int:  # bool is rejected too
+            raise ValueError(f"config budget must be an integer or null, got {budget!r}")
         raw = d["p_grid"]
         if isinstance(raw, dict):
+            _reject_unknown_keys("p_grid", raw, ExponentGrid)
             grid = ExponentGrid(
                 Fraction(raw["alpha"]), tuple(Fraction(s) for s in raw["mu_list"])
             )
@@ -173,19 +187,13 @@ class ExperimentConfig:
             p_grid=grid,
             trials=int(d["trials"]),
             seed=int(d["seed"]),
-            budget=d.get("budget"),
+            budget=budget,
         )
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         return ExperimentConfig.from_json_dict(json.load(f))
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(config.to_json_dict(), f, indent=2)
-        f.write("\n")
 
 
 @dataclass(frozen=True)

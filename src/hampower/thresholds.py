@@ -59,7 +59,8 @@ def optimal_ell_sq(m: int) -> Fraction:
 def optimal_ell_floor_ceil(m: int) -> tuple[int, int]:
     """Exact floor and ceil of sqrt(m*(m+1)/2), no floating point."""
     sq = optimal_ell_sq(m)
-    assert sq.denominator == 1  # m(m+1) is always even
+    if sq.denominator != 1:  # m(m+1) is always even
+        raise AssertionError(f"m(m+1)/2 = {sq} is not an integer")
     s = sq.numerator
     fl = isqrt(s)
     ce = fl if fl * fl == s else fl + 1

@@ -58,6 +58,29 @@ def test_config_json_round_trip():
     assert ExperimentConfig.from_json_dict(json.loads(blob)) == cfg
 
 
+def test_config_json_rejects_unknown_keys():
+    good = small_config(base=BaseGraphSpec("patched_bipartite", eps=Fraction(1, 12)), n=16).to_json_dict()
+    misspelt = dict(good)
+    misspelt["budgte"] = 1000
+    with pytest.raises(ValueError, match="budgte"):
+        ExperimentConfig.from_json_dict(misspelt)
+    bad_base = dict(good, base={"kind": "patched_bipartite", "eps": "1/12", "epsilon": "1/8"})
+    with pytest.raises(ValueError, match="epsilon"):
+        ExperimentConfig.from_json_dict(bad_base)
+    bad_grid = dict(good, p_grid={"alpha": "9/4", "mu_list": ["0"], "mu": ["1"]})
+    with pytest.raises(ValueError, match=r"\['mu'\]"):
+        ExperimentConfig.from_json_dict(bad_grid)
+
+
+def test_config_json_budget_type():
+    d = small_config(budget=1000).to_json_dict()
+    assert ExperimentConfig.from_json_dict(d).budget == 1000
+    assert ExperimentConfig.from_json_dict(dict(d, budget=None)).budget is None
+    for bad in ("1000", 1000.0, True, False, [1000]):
+        with pytest.raises(ValueError, match="budget"):
+            ExperimentConfig.from_json_dict(dict(d, budget=bad))
+
+
 def test_exponent_grid():
     grid = ExponentGrid(Fraction(9, 4), (Fraction(0), Fraction(1, 10)))
     cfg = small_config(n=12, m=2, p_grid=grid)
