@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import braids, density, graphs, hamsearch, montecarlo, partitioned_paths, thresholds
 
@@ -213,28 +214,24 @@ def _verify_edge_floor(args):
     return not bad, lines, cex
 
 
-def _structure_sweep(m: int, lmax: int, clique_size: int, check):
+def _verify_structure(m: int, clique_size: int, check, args):
+    """Run `check` on every valid labeling of the m-path, L <= lmax, that has
+    no same-side clique of clique_size; stop at the first failure."""
+    pp = partitioned_paths
+    labelings = (
+        pp.PartitionedPath(m, pp.mask_to_labels(mask, L))
+        for L in range(2, args.lmax + 1)
+        for mask in pp.iter_valid_label_masks(L, m)
+    )
     checked = 0
-    for L in range(2, lmax + 1):
-        for mask in partitioned_paths.iter_valid_label_masks(L, m):
-            p = partitioned_paths.PartitionedPath(m, partitioned_paths.mask_to_labels(mask, L))
-            if not partitioned_paths.clique_free(p, clique_size):
-                continue
-            rep = check(p)
-            checked += 1
-            if not rep.ok:
-                return checked, p.labels
-    return checked, None
-
-
-def _verify_m6(args):
-    checked, bad = _structure_sweep(6, args.lmax, 5, partitioned_paths.m6_structure_check)
-    lines = [f"checked {checked} clique-free valid labelings up to L={args.lmax}"]
-    return bad is None, lines, None if bad is None else f"structure check failed on {bad}"
-
-
-def _verify_m9(args):
-    checked, bad = _structure_sweep(9, args.lmax, 7, partitioned_paths.m9_structure_check)
+    bad = None
+    for p in labelings:
+        if not pp.clique_free(p, clique_size):
+            continue
+        checked += 1
+        if not check(p).ok:
+            bad = p.labels
+            break
     lines = [f"checked {checked} clique-free valid labelings up to L={args.lmax}"]
     return bad is None, lines, None if bad is None else f"structure check failed on {bad}"
 
@@ -284,8 +281,9 @@ _VERIFY_TARGETS = {
     "tables": _verify_tables,
     "regime": _verify_regime,
     "edge-floor": _verify_edge_floor,
-    "m6": _verify_m6,
-    "m9": _verify_m9,
+    # structure targets: (power m, forbidden same-side clique size, check)
+    "m6": partial(_verify_structure, 6, 5, partitioned_paths.m6_structure_check),
+    "m9": partial(_verify_structure, 9, 7, partitioned_paths.m9_structure_check),
     "tail-margins": _verify_tail_margins,
     "balanced": _verify_balanced,
 }

@@ -1,8 +1,11 @@
 """Exact 1-density machinery.
 
-The 1-density of a graph is e/(v - 1).  Everything here is exact rational:
-the brute-force maximizer scans induced vertex subsets with a Gray-code
-incremental edge count, and the optimized maximizer runs Dinkelbach iteration
+The 1-density of a graph is e/(v - 1).  Everything here is exact rational.
+One Gray-code walk over the vertex subsets (`_gray_subsets`, an incremental
+induced edge count) serves every brute-force scan: the maximizer and the
+strict-balance check read the same result (the densest proper subset against
+the whole graph), and the first-moment profile applies its own objective to
+the same walk.  The optimized maximizer runs Dinkelbach iteration
 where each candidate ratio is tested by minimum cuts on the edge-selection
 network (one cut per anchor vertex forces nonempty subsets).  Every lambda
 visited is a realized density with denominator <= v - 1, so termination and
@@ -62,37 +65,18 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _subset_density_scan(g: Graph):
-    """Gray-code scan over all vertex subsets of size >= 2.
+def _gray_subsets(g: Graph):
+    """Every nonempty vertex subset once, as (mask, size, induced edges).
 
-    Returns ((num, den, size, mask) for the best subset overall, same for the
-    best proper subset).  "Best" is highest density, then fewest vertices,
-    then lexicographically smallest vertex tuple; comparisons are exact
-    integer cross-multiplications.
+    The walk follows the binary reflected Gray code, so each subset differs
+    from the previous one by a single vertex and the induced edge count is
+    updated with one popcount.
     """
-    n = g.n
     adj = g.adj
-
-    best_all = None     # (e, v-1, size, mask)
-    best_proper = None
-    full = (1 << n) - 1
-
-    def better(e: int, size: int, mask: int, cur) -> bool:
-        if cur is None:
-            return True
-        ce, cd, csize, cmask = cur
-        lhs = e * cd
-        rhs = ce * (size - 1)
-        if lhs != rhs:
-            return lhs > rhs
-        if size != csize:
-            return size < csize
-        return _mask_vertices(mask) < _mask_vertices(cmask)
-
     mask = 0
     size = 0
     edges = 0
-    for i in range(1, 1 << n):
+    for i in range(1, 1 << g.n):
         v = (i & -i).bit_length() - 1
         bit = 1 << v
         if mask & bit:
@@ -103,13 +87,41 @@ def _subset_density_scan(g: Graph):
             edges += (adj[v] & mask).bit_count()
             mask |= bit
             size += 1
-        if size < 2:
+        yield mask, size, edges
+
+
+def _brute_densest(g: Graph, cap: int, what: str):
+    """Scan every vertex subset of size >= 2; returns (edges, size, mask,
+    whole_wins): the densest subset, and whether it is the whole vertex set,
+    that is, whether the whole set is strictly denser than every proper one.
+
+    "Densest" is highest density, then fewest vertices, then lexicographically
+    smallest vertex tuple; comparisons are exact integer cross-multiplications.
+    The whole vertex set has the most vertices, so it loses every tie: it is
+    compared once, after the proper subsets, and wins only when strictly
+    denser.
+    """
+    if g.n < 2:
+        raise ValueError(f"{what} needs at least 2 vertices")
+    if g.n > cap:
+        raise CapExceeded(f"brute force capped at {cap} vertices, graph has {g.n}")
+    full = (1 << g.n) - 1
+    best_e, best_size, best_mask = -1, 2, 0  # density -1: every subset beats it
+    for mask, size, edges in _gray_subsets(g):
+        if size < 2 or mask == full:
             continue
-        if better(edges, size, mask, best_all):
-            best_all = (edges, size - 1, size, mask)
-        if mask != full and better(edges, size, mask, best_proper):
-            best_proper = (edges, size - 1, size, mask)
-    return best_all, best_proper
+        lhs = edges * (best_size - 1)
+        rhs = best_e * (size - 1)
+        if lhs > rhs or (lhs == rhs and (
+            size < best_size
+            or (size == best_size and _mask_vertices(mask) < _mask_vertices(best_mask))
+        )):
+            best_e, best_size, best_mask = edges, size, mask
+    # best_mask == 0 when n == 2: there is no proper subset of size >= 2
+    whole_wins = best_mask == 0 or g.num_edges * (best_size - 1) > best_e * (g.n - 1)
+    if whole_wins:
+        return g.num_edges, g.n, full, True
+    return best_e, best_size, best_mask, False
 
 
 def max_density_brute(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> DensityReport:
@@ -119,13 +131,8 @@ def max_density_brute(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> DensityReport:
     increases the density.  Ties break to the smallest witness, then
     lexicographic.
     """
-    if g.n < 2:
-        raise ValueError("max density needs at least 2 vertices")
-    if g.n > cap:
-        raise CapExceeded(f"brute force capped at {cap} vertices, graph has {g.n}")
-    best_all, _ = _subset_density_scan(g)
-    e, d, _, mask = best_all
-    return DensityReport(Fraction(e, d), _mask_vertices(mask), "brute")
+    e, size, mask, _ = _brute_densest(g, cap, "max density")
+    return DensityReport(Fraction(e, size - 1), _mask_vertices(mask), "brute")
 
 
 def is_strictly_balanced(g: Graph, cap: int = DEFAULT_BRUTE_CAP):
@@ -133,20 +140,11 @@ def is_strictly_balanced(g: Graph, cap: int = DEFAULT_BRUTE_CAP):
     smaller 1-density than the whole graph.
 
     Proper spanning subgraphs are automatically strictly sparser, so vertex
-    subsets suffice.  Returns (verdict, violating_subset_or_None).
+    subsets suffice.  Returns (verdict, violating_subset_or_None); the
+    violating subset is the densest proper one.
     """
-    if g.n < 2:
-        raise ValueError("strict balance needs at least 2 vertices")
-    if g.n > cap:
-        raise CapExceeded(f"brute force capped at {cap} vertices, graph has {g.n}")
-    whole = one_density(g)
-    _, best_proper = _subset_density_scan(g)
-    if best_proper is None:  # n == 2: no proper subset of size >= 2
-        return True, None
-    e, d, _, mask = best_proper
-    if Fraction(e, d) >= whole:
-        return False, _mask_vertices(mask)
-    return True, None
+    _, _, mask, balanced = _brute_densest(g, cap, "strict balance")
+    return (True, None) if balanced else (False, _mask_vertices(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -343,30 +341,16 @@ def first_moment_profile(g: Graph, n: int, p: float,
     ln_p = math.log(p)
     log_whole = g.n * ln_n + g.num_edges * ln_p
 
-    adj = g.adj
-    best = None  # (log value, size, e, mask)
-    mask = 0
-    size = 0
-    edges = 0
-    for i in range(1, 1 << g.n):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        if mask & bit:
-            mask ^= bit
-            edges -= (adj[v] & mask).bit_count()
-            size -= 1
-        else:
-            edges += (adj[v] & mask).bit_count()
-            mask |= bit
-            size += 1
+    best_key = (math.inf, 0, 0)  # (log value, size, edges)
+    best_mask = 0
+    for mask, size, edges in _gray_subsets(g):
         if edges < 1:
             continue
-        val = size * ln_n + edges * ln_p
-        key = (val, size, edges, _mask_vertices(mask))
-        if best is None or key < best:
-            best = key
-    val, size, edges, vertices = best
-    return FirstMomentReport(log_whole, val, vertices, (size, edges))
+        key = (size * ln_n + edges * ln_p, size, edges)
+        if key < best_key or (key == best_key and _mask_vertices(mask) < _mask_vertices(best_mask)):
+            best_key, best_mask = key, mask
+    val, size, edges = best_key
+    return FirstMomentReport(log_whole, val, _mask_vertices(best_mask), (size, edges))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,22 @@ _M64 = (1 << 64) - 1
 BASE_KINDS = ("complete", "empty", "patched_bipartite", "file")
 
 
+def _required(what: str, d: dict, key: str):
+    """d[key], or a ValueError naming the missing key of the JSON object d."""
+    if key not in d:
+        raise ValueError(f"{what} is missing required key {key!r}")
+    return d[key]
+
+
+def _json_int(d: dict, key: str, optional: bool = False) -> int | None:
+    """d[key] as an int, never truncated: floats, strings and bools are
+    rejected, and null (or absence) is accepted only when optional."""
+    value = d.get(key) if optional else _required("config", d, key)
+    if type(value) is not int and not (optional and value is None):
+        raise ValueError(f"config {key} must be an integer{' or null' if optional else ''}, got {value!r}")
+    return value
+
+
 def _reject_unknown_keys(what: str, d: dict, cls) -> None:
     """Raise ValueError if the JSON object d has a key that is not a field of cls."""
     allowed = [f.name for f in fields(cls)]
@@ -94,7 +110,7 @@ class BaseGraphSpec:
     def from_json_dict(d: dict) -> "BaseGraphSpec":
         _reject_unknown_keys("base", d, BaseGraphSpec)
         return BaseGraphSpec(
-            kind=d["kind"],
+            kind=_required("base", d, "kind"),
             eps=Fraction(d["eps"]) if "eps" in d else None,
             path=d.get("path"),
         )
@@ -169,25 +185,23 @@ class ExperimentConfig:
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
         _reject_unknown_keys("config", d, ExperimentConfig)
-        budget = d.get("budget")
-        if budget is not None and type(budget) is not int:  # bool is rejected too
-            raise ValueError(f"config budget must be an integer or null, got {budget!r}")
-        raw = d["p_grid"]
+        raw = _required("config", d, "p_grid")
         if isinstance(raw, dict):
             _reject_unknown_keys("p_grid", raw, ExponentGrid)
             grid = ExponentGrid(
-                Fraction(raw["alpha"]), tuple(Fraction(s) for s in raw["mu_list"])
+                Fraction(_required("p_grid", raw, "alpha")),
+                tuple(Fraction(s) for s in _required("p_grid", raw, "mu_list")),
             )
         else:
             grid = tuple(float(x) for x in raw)
         return ExperimentConfig(
-            n=int(d["n"]),
-            m=int(d["m"]),
-            base=BaseGraphSpec.from_json_dict(d["base"]),
+            n=_json_int(d, "n"),
+            m=_json_int(d, "m"),
+            base=BaseGraphSpec.from_json_dict(_required("config", d, "base")),
             p_grid=grid,
-            trials=int(d["trials"]),
-            seed=int(d["seed"]),
-            budget=budget,
+            trials=_json_int(d, "trials"),
+            seed=_json_int(d, "seed"),
+            budget=_json_int(d, "budget", optional=True),
         )
 
 
@@ -287,9 +301,8 @@ def resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResult:
-    """Run the sweep; output is independent of the worker count."""
-    start = time.monotonic()
+def _trial_results(config: ExperimentConfig, workers: int | None) -> dict[int, list]:
+    """Trial index -> [(verdict, random-part clique count) per grid point]."""
     ps = config.probabilities()
     base = config.base.build(config.n)
     nworkers = resolve_workers(workers)
@@ -307,6 +320,14 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResu
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             for t, data in pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * nworkers))):
                 per_trial[t] = data
+    return per_trial
+
+
+def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResult:
+    """Run the sweep; output is independent of the worker count."""
+    start = time.monotonic()
+    ps = config.probabilities()
+    per_trial = _trial_results(config, workers)
 
     rows = []
     for ip, p in enumerate(ps):
@@ -327,14 +348,9 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResu
 
 def per_trial_found_curves(config: ExperimentConfig) -> list[list[bool]]:
     """Found verdict per (trial, grid point); used to assert the coupling
-    monotonicity exactly rather than statistically."""
-    ps = config.probabilities()
-    base = config.base.build(config.n)
-    curves = []
-    for t in range(config.trials):
-        _, data = _run_trial(base, config.n, config.m, ps, config.seed, config.budget, t)
-        curves.append([verdict == FOUND for verdict, _ in data])
-    return curves
+    monotonicity exactly rather than statistically.  Runs in this process."""
+    per_trial = _trial_results(config, workers=1)
+    return [[verdict == FOUND for verdict, _ in per_trial[t]] for t in range(config.trials)]
 
 
 # ---------------------------------------------------------------------------

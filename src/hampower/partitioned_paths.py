@@ -18,10 +18,13 @@ that normal form the same-side edge count has the closed form
 
 which is bounded below by same_side_edge_floor(m, L) = d*L - 2m^2 where d is
 the optimal limiting braid density for power m.  The exhaustive checker
-verifies that floor directly against every valid labeling at small lengths.
+verifies that floor directly against every valid labeling at small lengths;
+it and same_side_edge_count share one bitmask edge counter.
 
 Also here: t-far edge counters and the structural checks used for the
-powers m = 6 (clique-number 4 labelings) and m = 9 (clique-number 6).
+powers m = 6 (clique-number 4 labelings) and m = 9 (clique-number 6).  Both
+run one core (precondition, spanning k-th powers, the t <= k far-edge
+identity, each side's positions computed once) and add only their own facts.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .thresholds import braid_density_limit, optimal_ell
 SIDE_A = "A"
 SIDE_B = "B"
 _OTHER = {SIDE_A: SIDE_B, SIDE_B: SIDE_A}
+_LABEL_BITS = str.maketrans(SIDE_A + SIDE_B, "01")  # bit i of a label mask: position i is B
 
 
 class BudgetExceeded(RuntimeError):
@@ -130,16 +134,8 @@ def segments(path: PartitionedPath) -> SegmentList:
 
 def same_side_edge_count(path: PartitionedPath) -> int:
     """Number of pairs at path distance <= m with equal labels (fast bit count)."""
-    L = path.L
-    x = 0
-    for i, c in enumerate(path.labels):
-        if c == SIDE_B:
-            x |= 1 << i
-    total = 0
-    for d in range(1, min(path.m, L - 1) + 1):
-        agree = ~(x ^ (x >> d)) & ((1 << (L - d)) - 1)
-        total += agree.bit_count()
-    return total
+    x = int("0" + path.labels[::-1].translate(_LABEL_BITS), 2)  # "0": L may be 0
+    return _mask_edge_count(x, path.L, path.m)
 
 
 def same_side_edges(path: PartitionedPath) -> tuple[int, list[tuple[int, int]]]:
@@ -355,6 +351,7 @@ def iter_valid_label_masks(L: int, m: int):
 
 
 def _mask_edge_count(x: int, L: int, m: int) -> int:
+    """Same-side edges of the labeling whose bit i is set iff position i is B."""
     total = 0
     for d in range(1, min(m, L - 1) + 1):
         agree = ~(x ^ (x >> d)) & ((1 << (L - d)) - 1)
@@ -409,12 +406,16 @@ def far_pair_count(path: PartitionedPath, side: str, t: int) -> int:
     return max(0, len(path.positions(side)) - t)
 
 
+def _far_edge_count(pos: list[int], t: int, m: int) -> int:
+    """t-far pairs among the sorted positions `pos` that lie within distance m."""
+    return sum(1 for a, b in zip(pos, pos[t:]) if b - a <= m)
+
+
 def far_edges(path: PartitionedPath, side: str, t: int) -> int:
     """Number of t-far same-side pairs that are also edges (path distance <= m)."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    pos = path.positions(side)
-    return sum(1 for a, b in zip(pos, pos[t:]) if b - a <= path.m)
+    return _far_edge_count(path.positions(side), t, path.m)
 
 
 def spanning_power_check(path: PartitionedPath, side: str, k: int) -> bool:
@@ -444,10 +445,11 @@ def window_side_counts(path: PartitionedPath, width: int) -> list[tuple[int, int
 def clique_free(path: PartitionedPath, clique_size: int) -> bool:
     """No `clique_size` same-side vertices pairwise within path distance m.
 
-    Such a clique exists iff some window of m+1 consecutive positions holds
-    clique_size same-side vertices.
+    Such a clique exists iff some window of min(m+1, L) consecutive positions
+    holds clique_size same-side vertices (a path no longer than m+1 is one
+    window).
     """
-    width = path.m + 1
+    width = min(path.m + 1, path.L)
     for a, b in window_side_counts(path, width):
         if a >= clique_size or b >= clique_size:
             return False
@@ -483,6 +485,37 @@ class M6Report:
         )
 
 
+def _structure_core(path: PartitionedPath, m: int, clique_size: int, k: int,
+                    names: tuple[str, str, str], label: str):
+    """The steps the m=6 and m=9 checks share: the precondition (valid, no
+    same-side K_clique_size), the spanning k-th powers and the t <= k far-edge
+    identity.  Returns (side positions or None when the precondition fails,
+    report fields); `names` are the check's fields for the t <= k far-edge
+    total, its expected value and whether it equals kL - k(k+1)."""
+    if path.m != m:
+        raise ValueError(f"this check applies to {m}-paths, got m={path.m}")
+    if not (path.is_valid() and clique_free(path, clique_size)):
+        note = f"precondition violated: invalid labeling or same-side K_{clique_size} present"
+        return None, {"L": path.L, "precondition_ok": False, "notes": [note]}
+    pos = (path.positions(SIDE_A), path.positions(SIDE_B))
+    far = sum(_far_edge_count(p, t, m) for p in pos for t in range(1, k + 1))
+    expected = sum(max(0, len(p) - t) for p in pos for t in range(1, k + 1))
+    exact = far == k * path.L - k * (k + 1)
+    identity_ok = far == expected
+    notes = []
+    if min(map(len, pos)) >= k and not exact:
+        identity_ok = False
+        notes.append(f"{label} total differs from {k}L-{k * (k + 1)} despite nondegenerate sides")
+    return pos, {
+        "L": path.L, "precondition_ok": True, "a_count": len(pos[0]), "b_count": len(pos[1]),
+        names[0]: far, names[1]: expected, names[2]: exact,
+        # each (side, t) term counts at most its pairs as edges, so the totals
+        # agree exactly when every t-far pair with t <= k is an edge
+        "spans_ok": far == expected,
+        "identity_ok": identity_ok, "notes": notes,
+    }
+
+
 def m6_structure_check(path: PartitionedPath) -> M6Report:
     """The m = 6 structure facts for labelings without a same-side K_5.
 
@@ -492,36 +525,15 @@ def m6_structure_check(path: PartitionedPath) -> M6Report:
     edges number at least (L-6)/4.  A violated precondition is reported, not
     asserted.
     """
-    if path.m != 6:
-        raise ValueError(f"this check applies to 6-paths, got m={path.m}")
-    rep = M6Report(L=path.L, precondition_ok=path.is_valid() and clique_free(path, 5))
-    if not rep.precondition_ok:
-        rep.notes.append("precondition violated: invalid labeling or same-side K_5 present")
-        return rep
-
-    rep.a_count = len(path.positions(SIDE_A))
-    rep.b_count = path.L - rep.a_count
-
-    rep.windows_ok = all(
-        sorted(ab) == [3, 4] for ab in window_side_counts(path, 7)
+    pos, fields = _structure_core(
+        path, 6, 5, 2, ("far12_edges", "far12_expected", "identity_2l6"), "1-,2-far")
+    if pos is None:
+        return M6Report(**fields)
+    far3 = sum(_far_edge_count(p, 3, 6) for p in pos)
+    return M6Report(
+        **fields, far3_edges=far3, far3_bound_ok=4 * far3 >= path.L - 6,
+        windows_ok=all(sorted(ab) == [3, 4] for ab in window_side_counts(path, 7)),
     )
-    rep.spans_ok = spanning_power_check(path, SIDE_A, 2) and spanning_power_check(
-        path, SIDE_B, 2
-    )
-    rep.far12_edges = sum(
-        far_edges(path, side, t) for side in (SIDE_A, SIDE_B) for t in (1, 2)
-    )
-    rep.far12_expected = sum(
-        max(0, len(path.positions(side)) - t) for side in (SIDE_A, SIDE_B) for t in (1, 2)
-    )
-    rep.identity_ok = rep.far12_edges == rep.far12_expected
-    rep.identity_2l6 = rep.far12_edges == 2 * path.L - 6
-    if min(rep.a_count, rep.b_count) >= 2 and not rep.identity_2l6:
-        rep.identity_ok = False
-        rep.notes.append("1-,2-far total differs from 2L-6 despite nondegenerate sides")
-    rep.far3_edges = far_edges(path, SIDE_A, 3) + far_edges(path, SIDE_B, 3)
-    rep.far3_bound_ok = 4 * rep.far3_edges >= path.L - 6
-    return rep
 
 
 @dataclass
@@ -574,41 +586,15 @@ def m9_structure_check(path: PartitionedPath) -> M9Report:
     case for L >= 10), and the 4-/5-far counts w, z satisfy w >= L/3 - 3,
     L - 8 - w <= 4z and w + z >= L/2 - 5.
     """
-    if path.m != 9:
-        raise ValueError(f"this check applies to 9-paths, got m={path.m}")
-    rep = M9Report(L=path.L, precondition_ok=path.is_valid() and clique_free(path, 7))
-    if not rep.precondition_ok:
-        rep.notes.append("precondition violated: invalid labeling or same-side K_7 present")
-        return rep
-
-    rep.a_count = len(path.positions(SIDE_A))
-    rep.b_count = path.L - rep.a_count
-
-    rep.spans_ok = spanning_power_check(path, SIDE_A, 3) and spanning_power_check(
-        path, SIDE_B, 3
+    pos, fields = _structure_core(
+        path, 9, 7, 3, ("far123_edges", "far123_expected", "identity_3l12"), "t<=3-far")
+    if pos is None:
+        return M9Report(**fields)
+    (w_a, w_b), (z_a, z_b) = ([_far_edge_count(p, t, 9) for p in pos] for t in (4, 5))
+    w, z, L = w_a + w_b, z_a + z_b, path.L
+    return M9Report(
+        **fields, w_a=w_a, w_b=w_b, z_a=z_a, z_b=z_b,
+        w_bound_ok=3 * w >= L - 9,
+        wz_relation_ok=L - 8 - w <= 4 * z,
+        wz_total_ok=2 * (w + z) >= L - 10,
     )
-    rep.far123_edges = sum(
-        far_edges(path, side, t) for side in (SIDE_A, SIDE_B) for t in (1, 2, 3)
-    )
-    rep.far123_expected = sum(
-        max(0, len(path.positions(side)) - t)
-        for side in (SIDE_A, SIDE_B)
-        for t in (1, 2, 3)
-    )
-    rep.identity_ok = rep.far123_edges == rep.far123_expected
-    rep.identity_3l12 = rep.far123_edges == 3 * path.L - 12
-    if min(rep.a_count, rep.b_count) >= 3 and not rep.identity_3l12:
-        rep.identity_ok = False
-        rep.notes.append("t<=3-far total differs from 3L-12 despite nondegenerate sides")
-
-    rep.w_a = far_edges(path, SIDE_A, 4)
-    rep.w_b = far_edges(path, SIDE_B, 4)
-    rep.z_a = far_edges(path, SIDE_A, 5)
-    rep.z_b = far_edges(path, SIDE_B, 5)
-
-    L = path.L
-    w, z = rep.w, rep.z
-    rep.w_bound_ok = 3 * w >= L - 9
-    rep.wz_relation_ok = L - 8 - w <= 4 * z
-    rep.wz_total_ok = 2 * (w + z) >= L - 10
-    return rep

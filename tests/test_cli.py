@@ -167,6 +167,15 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert lines[1].startswith("0,0,1,0,")  # p=0: everything not_found
 
 
+def test_verify_structure_counts(capsys):
+    # clique-free valid labelings with L <= 12; short paths holding a
+    # same-side K_5 (m=6) or K_7 (m=9) are not counted
+    for target, count in (("m6", 1748), ("m9", 4828)):
+        code, out = run_cli(capsys, "verify", target, "--verbose")
+        assert code == EXIT_OK
+        assert f"checked {count} clique-free valid labelings up to L=12" in out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -184,6 +193,20 @@ def test_file_base_mismatch_is_usage_error(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
     assert code == 2
+
+
+def test_malformed_sweep_config_is_usage_error(tmp_path, capsys):
+    good = {"n": 8, "m": 2, "base": {"kind": "empty"}, "p_grid": [0.5], "trials": 1, "seed": 0}
+    for name, cfg in (
+        ("missing", {k: v for k, v in good.items() if k != "p_grid"}),
+        ("fractional", dict(good, trials=2.7)),
+    ):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("p_grid" in err if name == "missing" else "trials" in err)
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 """Exact 1-density: brute maximizer, min-cut maximizer, balance, profiles."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -242,3 +243,53 @@ def test_truncation_margins_against_subgraph_densities():
             continue
         sub = induced_subgraph(g, kept)
         assert one_density(sub) < d
+
+
+# Golden values: the exact (value, witness) of max_density_brute, the
+# strict-balance verdict and two first-moment profiles on a seeded corpus,
+# digested.  Ties are common here (equal densities of different sizes, and
+# of equal size in many places), so the digest pins every tie-break rule as
+# well as the values.
+GOLDEN_DENSITY_GRAPHS = 68
+GOLDEN_DENSITY_SHA256 = "326306759bbf546dce495d29e2d3ee4443e55e05da4be43ed424d92ea488cf79"
+
+
+def golden_density_corpus() -> list[Graph]:
+    gs = [
+        braid(ell, r, t)
+        for ell in range(2, 7)
+        for r in range(1, ell + 1)
+        for t in range(2, 5)
+        if t * ell <= 12
+    ]
+    gs += [
+        Graph(2), Graph(2, [(0, 1)]), Graph(5), complete_graph(4),
+        disjoint_cliques(4, 4), disjoint_cliques(3, 3, 2), s_braids(3, 1, 1, 2),
+    ]
+    gs += [
+        sample_gnp(n, p, 4000 + 100 * n + i)
+        for n in (6, 9, 12)
+        for p in (0.15, 0.35, 0.6)
+        for i in range(3)
+    ]
+    return gs
+
+
+def golden_density_lines() -> list[str]:
+    lines = []
+    for i, g in enumerate(golden_density_corpus()):
+        rep = max_density_brute(g)
+        line = f"{i}: {rep.value} {rep.witness} {is_strictly_balanced(g)}"
+        if g.num_edges:
+            for n, p in ((100, 0.05), (10_000, 0.3)):
+                fm = first_moment_profile(g, n, p)
+                line += f" | {fm.log_whole!r} {fm.log_min!r} {fm.min_vertices} {fm.min_profile}"
+        lines.append(line)
+    return lines
+
+
+def test_golden_density_corpus():
+    lines = golden_density_lines()
+    assert len(lines) == GOLDEN_DENSITY_GRAPHS
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_DENSITY_SHA256

@@ -81,6 +81,27 @@ def test_config_json_budget_type():
             ExperimentConfig.from_json_dict(dict(d, budget=bad))
 
 
+def test_config_json_missing_keys():
+    good = small_config(p_grid=ExponentGrid(Fraction(9, 4), (Fraction(0),))).to_json_dict()
+    for key in ("n", "m", "base", "p_grid", "trials", "seed"):
+        with pytest.raises(ValueError, match=f"missing required key '{key}'"):
+            ExperimentConfig.from_json_dict({k: v for k, v in good.items() if k != key})
+    with pytest.raises(ValueError, match="base is missing required key 'kind'"):
+        ExperimentConfig.from_json_dict(dict(good, base={}))
+    for key in ("alpha", "mu_list"):
+        grid = {k: v for k, v in good["p_grid"].items() if k != key}
+        with pytest.raises(ValueError, match=f"p_grid is missing required key '{key}'"):
+            ExperimentConfig.from_json_dict(dict(good, p_grid=grid))
+
+
+def test_config_json_integer_fields():
+    d = small_config().to_json_dict()
+    for key in ("n", "m", "trials", "seed"):
+        for bad in (2.7, float(d[key]), str(d[key]), True, None):
+            with pytest.raises(ValueError, match=f"config {key} must be an integer"):
+                ExperimentConfig.from_json_dict(dict(d, **{key: bad}))
+
+
 def test_exponent_grid():
     grid = ExponentGrid(Fraction(9, 4), (Fraction(0), Fraction(1, 10)))
     cfg = small_config(n=12, m=2, p_grid=grid)

@@ -1,5 +1,6 @@
 """Partitioned paths: segments, edge counts, normalization, structure checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -63,6 +64,7 @@ def test_same_side_edges_examples():
     count, pairs = same_side_edges(PartitionedPath(m, "A" * m))
     assert count == comb(m, 2)
     assert same_side_edge_count(PartitionedPath(2, "ABABAB")) == 4
+    assert same_side_edge_count(PartitionedPath(2, "")) == 0
     count, pairs = same_side_edges(PartitionedPath(3, "AAABBB"))
     assert count == 6
     assert ((0, 1) in pairs) and ((3, 5) in pairs)
@@ -222,6 +224,11 @@ def test_window_side_counts_and_clique_free():
     assert window_side_counts(p, 7) == [(4, 3)]
     assert clique_free(p, 5)
     assert not clique_free(PartitionedPath(6, "AABAABA" + "B" * 3), 5)
+    # paths no longer than m+1 are a single window, narrower than m+1
+    assert not clique_free(PartitionedPath(6, "AAAAA"), 5)
+    assert not clique_free(PartitionedPath(9, "A" * 7), 7)
+    assert clique_free(PartitionedPath(6, "AAAAB"), 5)
+    assert clique_free(PartitionedPath(6, ""), 5)
 
 
 def test_m6_structure_blocks():
@@ -282,3 +289,32 @@ def test_m9_structure_exhaustive_sample():
             rep = m9_structure_check(p)
             assert rep.ok, p.labels
             assert rep.identity_3l12, p.labels
+
+
+# Golden reports of the m=6 and m=9 checks: every valid labeling with
+# L >= m + 1 up to the bound below (precondition failures included), as the
+# digest of each report's repr and verdict.  Shorter labelings are left out:
+# there clique_free looks at a window narrower than m + 1.
+GOLDEN_STRUCTURE = {
+    # m: (L_max, labelings, sha256)
+    6: (14, 30594, "982bf7b18a1ed6d638bc00fc80044206374a5cd87582a1aacfc5cbca3af7c6c0"),
+    9: (13, 15296, "890e3b6317f8d41594d8b4869f3ecb6bc6bb802623e9a02bcc6df6be74243aa0"),
+}
+
+
+def golden_structure_digest(m: int, L_max: int) -> tuple[int, str]:
+    check = {6: m6_structure_check, 9: m9_structure_check}[m]
+    h = hashlib.sha256()
+    count = 0
+    for L in range(m + 1, L_max + 1):
+        for mask in iter_valid_label_masks(L, m):
+            rep = check(PartitionedPath(m, mask_to_labels(mask, L)))
+            h.update(f"{rep!r} {rep.ok}\n".encode())
+            count += 1
+    return count, h.hexdigest()
+
+
+@pytest.mark.parametrize("m", sorted(GOLDEN_STRUCTURE))
+def test_golden_structure_reports(m):
+    L_max, count, digest = GOLDEN_STRUCTURE[m]
+    assert golden_structure_digest(m, L_max) == (count, digest)
