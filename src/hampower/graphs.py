@@ -1,16 +1,20 @@
-"""Undirected simple graphs on vertices 0..n-1 with bitmask adjacency rows.
+"""Undirected simple graphs on vertices 0..n-1, stored as bitmask adjacency rows.
 
-Every neighborhood is stored as a Python int used as a bitset, so the hot
-operation everywhere else in the package (intersecting neighborhoods during
-clique counting and cycle-power search) is a single word-parallel AND.
-Graphs are immutable after construction and safe to share across workers.
+Every neighborhood is a Python int used as a bitset, and these rows are the
+only stored form of a graph: the hot operations everywhere else in the
+package (intersecting neighborhoods during clique counting and cycle-power
+search, unions of graphs) are word-parallel ANDs and ORs.  The edge set is
+derived from the rows on first use.  Random graphs are thresholded straight
+into rows through numpy bit packing, with no edge list in between.  Graphs
+are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import comb
+from operator import index
 
 import numpy as np
 
@@ -20,39 +24,54 @@ _MASK128 = (1 << 128) - 1
 
 
 class Graph:
-    """Immutable simple graph: a vertex count plus a frozenset of edges (u, v), u < v."""
+    """Immutable simple graph: a vertex count n plus one neighbor bitmask per vertex.
+
+    `adj[i]` has bit j set iff ij is an edge.  `Graph(n, edges)` validates the
+    edges (no self-loops, endpoints in 0..n-1; duplicates merge) and writes
+    the rows; `edges` is the frozenset of pairs (u, v), u < v, read off the
+    rows.
+    """
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        es = set()
+        rows = [0] * n
         for u, v in edges:
+            u, v = index(u), index(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            es.add((u, v) if u < v else (v, u))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.n = n
-        self.edges = frozenset(es)
+        self.adj: tuple[int, ...] = tuple(rows)
+
+    @classmethod
+    def _from_rows(cls, rows) -> "Graph":
+        """A graph from rows already known to be symmetric and loop-free."""
+        g = cls.__new__(cls)
+        g.n = len(rows)
+        g.adj = tuple(rows)
+        return g
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        es = []
+        for u, row in enumerate(self.adj):
+            rest = row >> (u + 1) << (u + 1)
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                es.append((u, bit.bit_length() - 1))
+        return frozenset(es)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def adj(self) -> list[int]:
-        """Per-vertex neighbor bitmasks; bit j of row i is set iff ij is an edge."""
-        rows = self.__dict__.get("_adj")
-        if rows is None:
-            rows = [0] * self.n
-            for u, v in self.edges:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            self.__dict__["_adj"] = rows
-        return rows
+        return sum(r.bit_count() for r in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -60,16 +79,32 @@ class Graph:
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("empty graph has no degrees")
-        return min(self.adj[v].bit_count() for v in range(self.n))
+        return min(r.bit_count() for r in self.adj)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
+
+
+def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
+    """Rows of an n x n boolean matrix as ints: bit j of row i is bits[i, j]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return tuple(int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed)))
+
+
+def _unpack_rows(rows, n: int) -> np.ndarray:
+    """Inverse of _pack_rows: a len(rows) x n uint8 matrix of adjacency bits."""
+    width = (n + 7) // 8
+    data = b"".join(r.to_bytes(width, "little") for r in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +191,30 @@ def pair_uniforms(n: int, seed: int) -> np.ndarray:
     return np.random.Generator(bg).random(n * (n - 1) // 2)
 
 
+def coupled_gnp(n: int, uniforms: np.ndarray):
+    """The coupled family p -> G(n, p) over one array of pair uniforms.
+
+    `uniforms` is pair_uniforms(n, seed) (row-major upper triangle).  The
+    returned function maps p in [0, 1] to the graph keeping each pair whose
+    uniform lies below p, so the graphs are nested in p.  The uniforms are
+    laid out once as a symmetric n x n matrix (diagonal 1, never below p);
+    each p then costs one comparison and one bit packing of that matrix.
+    """
+    if len(uniforms) != n * (n - 1) // 2:
+        raise ValueError(f"need {n * (n - 1) // 2} pair uniforms for n={n}, got {len(uniforms)}")
+    matrix = np.ones((n, n))
+    iu = np.triu_indices(n, k=1)
+    matrix[iu] = uniforms
+    matrix.T[iu] = uniforms
+
+    def at(p: float) -> Graph:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+        return Graph._from_rows(_pack_rows(matrix < p))
+
+    return at
+
+
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph: each pair kept independently with probability p.
 
@@ -168,17 +227,14 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be nonnegative")
     if n < 2 or p == 0.0:
         return Graph(n)
-    u = pair_uniforms(n, seed)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = u < p
-    return Graph(n, zip(iu[keep].tolist(), ju[keep].tolist()))
+    return coupled_gnp(n, pair_uniforms(n, seed))(p)
 
 
 def union(g: Graph, h: Graph) -> Graph:
     """Edge-set union of two graphs on the same vertex set."""
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
-    return Graph(g.n, g.edges | h.edges)
+    return Graph._from_rows([a | b for a, b in zip(g.adj, h.adj)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +245,9 @@ def count_cliques(g: Graph, s: int) -> int:
     """Exact number of s-vertex cliques, by pruned recursion on neighborhood masks.
 
     Vertices are extended in ascending index order, so every clique is counted
-    once; candidate sets shrink via bitmask intersection.
+    once; candidate sets shrink via bitmask intersection.  The last two levels
+    are one flat loop: a candidate v closes (rest & adj[v]).bit_count()
+    cliques with the candidates above it.
     """
     if s < 1:
         raise ValueError("clique size must be >= 1")
@@ -200,17 +258,21 @@ def count_cliques(g: Graph, s: int) -> int:
     adj = g.adj
 
     def extend(cand: int, need: int) -> int:
-        if need == 1:
-            return cand.bit_count()
-        if cand.bit_count() < need:
-            return 0
+        # need >= 2
         total = 0
         rest = cand
+        if need == 2:
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                total += (rest & adj[bit.bit_length() - 1]).bit_count()
+            return total
+        if cand.bit_count() < need:
+            return 0
         while rest:
             bit = rest & -rest
             rest ^= bit
-            v = bit.bit_length() - 1
-            total += extend(rest & adj[v], need - 1)
+            total += extend(rest & adj[bit.bit_length() - 1], need - 1)
         return total
 
     return extend((1 << g.n) - 1, s)
@@ -224,12 +286,8 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     for v in vs:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(vs)), 2)
-        if g.has_edge(vs[i], vs[j])
-    ]
-    return Graph(len(vs), edges)
+    bits = _unpack_rows([g.adj[v] for v in vs], g.n)
+    return Graph._from_rows(_pack_rows(bits[:, vs]))
 
 
 def induced_edge_count(g: Graph, vertices) -> int:

@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph
+from .graphs import Graph, induced_subgraph
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -124,13 +124,7 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
 
     # relabel ascending by (degree, index); bit order then equals degree order
     perm = sorted(range(n), key=lambda v: (g.adj[v].bit_count(), v))
-    inv = [0] * n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[inv[u]] |= 1 << inv[v]
-        adj[inv[v]] |= 1 << inv[u]
+    adj = induced_subgraph(g, perm).adj
 
     carry, checks = _tables(n, m)
     full = (1 << n) - 1

@@ -25,9 +25,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-import numpy as np
-
-from .graphs import Graph, complete_graph, count_cliques, load_edge_list, pair_uniforms, patched_bipartite, union
+from .graphs import (
+    Graph,
+    complete_graph,
+    count_cliques,
+    coupled_gnp,
+    load_edge_list,
+    pair_uniforms,
+    patched_bipartite,
+    union,
+)
 from .hamsearch import FOUND, NOT_FOUND, UNKNOWN, contains_ham_power
 
 _M64 = (1 << 64) - 1
@@ -51,8 +58,26 @@ def _json_int(d: dict, key: str, optional: bool = False) -> int | None:
     return value
 
 
+def _number(what: str, value, kind=Fraction):
+    """kind(value) (Fraction accepts fraction strings such as "1/8"), or a
+    ValueError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _json_list(what: str, value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
 def _reject_unknown_keys(what: str, d: dict, cls) -> None:
-    """Raise ValueError if the JSON object d has a key that is not a field of cls."""
+    """Raise ValueError if d is not a JSON object or has a key that is not a
+    field of cls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
     allowed = [f.name for f in fields(cls)]
     unknown = sorted(set(d) - set(allowed))
     if unknown:
@@ -109,10 +134,13 @@ class BaseGraphSpec:
     @staticmethod
     def from_json_dict(d: dict) -> "BaseGraphSpec":
         _reject_unknown_keys("base", d, BaseGraphSpec)
+        path = d.get("path")
+        if path is not None and not isinstance(path, str):
+            raise ValueError(f"base path must be a string, got {path!r}")
         return BaseGraphSpec(
             kind=_required("base", d, "kind"),
-            eps=Fraction(d["eps"]) if "eps" in d else None,
-            path=d.get("path"),
+            eps=_number("base eps", d["eps"]) if "eps" in d else None,
+            path=path,
         )
 
 
@@ -189,11 +217,13 @@ class ExperimentConfig:
         if isinstance(raw, dict):
             _reject_unknown_keys("p_grid", raw, ExponentGrid)
             grid = ExponentGrid(
-                Fraction(_required("p_grid", raw, "alpha")),
-                tuple(Fraction(s) for s in _required("p_grid", raw, "mu_list")),
+                _number("p_grid alpha", _required("p_grid", raw, "alpha")),
+                tuple(_number("p_grid mu_list entry", s)
+                      for s in _json_list("p_grid mu_list", _required("p_grid", raw, "mu_list"))),
             )
         else:
-            grid = tuple(float(x) for x in raw)
+            grid = tuple(_number("config p_grid entry", x, float)
+                         for x in _json_list("config p_grid (a list or an exponent grid object)", raw))
         return ExperimentConfig(
             n=_json_int(d, "n"),
             m=_json_int(d, "m"),
@@ -240,8 +270,7 @@ def _run_trial(base: Graph, n: int, m: int, ps: tuple[float, ...], seed: int,
     """
     from .hamsearch import verify_witness
 
-    u = pair_uniforms(n, trial_seed(seed, t))
-    iu, ju = np.triu_indices(n, k=1)
+    gnp = coupled_gnp(n, pair_uniforms(n, trial_seed(seed, t)))
     k = len(ps)
     by_p = sorted(range(k), key=lambda i: (ps[i], i))
 
@@ -250,8 +279,7 @@ def _run_trial(base: Graph, n: int, m: int, ps: tuple[float, ...], seed: int,
 
     def random_part(gi: int) -> Graph:
         if random_parts[gi] is None:
-            keep = u < ps[gi]
-            random_parts[gi] = Graph(n, zip(iu[keep].tolist(), ju[keep].tolist()))
+            random_parts[gi] = gnp(ps[gi])
         return random_parts[gi]
 
     def graph_at(gi: int) -> Graph:

@@ -449,11 +449,12 @@ def clique_free(path: PartitionedPath, clique_size: int) -> bool:
     holds clique_size same-side vertices (a path no longer than m+1 is one
     window).
     """
-    width = min(path.m + 1, path.L)
-    for a, b in window_side_counts(path, width):
-        if a >= clique_size or b >= clique_size:
-            return False
-    return True
+    return _no_clique_window(window_side_counts(path, min(path.m + 1, path.L)), clique_size)
+
+
+def _no_clique_window(windows: list[tuple[int, int]], clique_size: int) -> bool:
+    """True iff no window side count reaches clique_size."""
+    return all(a < clique_size and b < clique_size for a, b in windows)
 
 
 @dataclass
@@ -490,13 +491,15 @@ def _structure_core(path: PartitionedPath, m: int, clique_size: int, k: int,
     """The steps the m=6 and m=9 checks share: the precondition (valid, no
     same-side K_clique_size), the spanning k-th powers and the t <= k far-edge
     identity.  Returns (side positions or None when the precondition fails,
-    report fields); `names` are the check's fields for the t <= k far-edge
-    total, its expected value and whether it equals kL - k(k+1)."""
+    the side counts of every min(m + 1, L)-window, report fields); `names`
+    are the check's fields for the t <= k far-edge total, its expected value
+    and whether it equals kL - k(k+1)."""
     if path.m != m:
         raise ValueError(f"this check applies to {m}-paths, got m={path.m}")
-    if not (path.is_valid() and clique_free(path, clique_size)):
+    windows = window_side_counts(path, min(m + 1, path.L))
+    if not (path.is_valid() and _no_clique_window(windows, clique_size)):
         note = f"precondition violated: invalid labeling or same-side K_{clique_size} present"
-        return None, {"L": path.L, "precondition_ok": False, "notes": [note]}
+        return None, windows, {"L": path.L, "precondition_ok": False, "notes": [note]}
     pos = (path.positions(SIDE_A), path.positions(SIDE_B))
     far = sum(_far_edge_count(p, t, m) for p in pos for t in range(1, k + 1))
     expected = sum(max(0, len(p) - t) for p in pos for t in range(1, k + 1))
@@ -506,7 +509,7 @@ def _structure_core(path: PartitionedPath, m: int, clique_size: int, k: int,
     if min(map(len, pos)) >= k and not exact:
         identity_ok = False
         notes.append(f"{label} total differs from {k}L-{k * (k + 1)} despite nondegenerate sides")
-    return pos, {
+    return pos, windows, {
         "L": path.L, "precondition_ok": True, "a_count": len(pos[0]), "b_count": len(pos[1]),
         names[0]: far, names[1]: expected, names[2]: exact,
         # each (side, t) term counts at most its pairs as edges, so the totals
@@ -525,14 +528,15 @@ def m6_structure_check(path: PartitionedPath) -> M6Report:
     edges number at least (L-6)/4.  A violated precondition is reported, not
     asserted.
     """
-    pos, fields = _structure_core(
+    pos, windows, fields = _structure_core(
         path, 6, 5, 2, ("far12_edges", "far12_expected", "identity_2l6"), "1-,2-far")
     if pos is None:
         return M6Report(**fields)
     far3 = sum(_far_edge_count(p, 3, 6) for p in pos)
     return M6Report(
         **fields, far3_edges=far3, far3_bound_ok=4 * far3 >= path.L - 6,
-        windows_ok=all(sorted(ab) == [3, 4] for ab in window_side_counts(path, 7)),
+        # a path shorter than 7 has no 7-window; its one shorter window is not checked
+        windows_ok=path.L < 7 or all(sorted(ab) == [3, 4] for ab in windows),
     )
 
 
@@ -586,7 +590,7 @@ def m9_structure_check(path: PartitionedPath) -> M9Report:
     case for L >= 10), and the 4-/5-far counts w, z satisfy w >= L/3 - 3,
     L - 8 - w <= 4z and w + z >= L/2 - 5.
     """
-    pos, fields = _structure_core(
+    pos, _, fields = _structure_core(
         path, 9, 7, 3, ("far123_edges", "far123_expected", "identity_3l12"), "t<=3-far")
     if pos is None:
         return M9Report(**fields)

@@ -209,6 +209,20 @@ def test_malformed_sweep_config_is_usage_error(tmp_path, capsys):
         assert err.startswith("error: ") and ("p_grid" in err if name == "missing" else "trials" in err)
 
 
+@pytest.mark.parametrize("cfg,message", [
+    (5, "config must be a JSON object"),
+    ({"n": 8, "m": 2, "base": {"kind": "empty"}, "p_grid": 0.5, "trials": 1, "seed": 0}, "config p_grid"),
+    ({"n": 8, "m": 2, "base": "empty", "p_grid": [0.5], "trials": 1, "seed": 0}, "base must be a JSON object"),
+], ids=["top-level-number", "scalar-p_grid", "string-base"])
+def test_wrong_shape_sweep_config_is_usage_error(tmp_path, capsys, cfg, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hampower", "threshold-table", "--m-max", "5", "--format", "csv"],

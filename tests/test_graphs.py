@@ -1,6 +1,8 @@
 """Graph constructors, clique counting, sampling, and I/O."""
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -175,6 +177,81 @@ def test_sample_gnp_concentration():
     pairs = n * (n - 1) // 2
     sigma = math.sqrt(pairs / 4)
     assert abs(g.num_edges - pairs / 2) < 5 * sigma
+
+
+# to_edge_list sha256 of sample_gnp(n, p, seed), computed when graphs still
+# stored edge sets; building the rows straight from the uniforms keeps them
+GNP_DIGESTS = [
+    (0, 0.5, 1, 0, "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101"),
+    (1, 0.5, 1, 0, "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
+    (1, 1.0, 2, 0, "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),
+    (2, 1.0, 3, 1, "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834"),
+    (9, 0.0, 5, 0, "d52500b48d55f05d0479fc1942b467d04378c86c62a461d94ec8b0c6a8365ec8"),
+    (9, 1.0, 5, 36, "d6fd01c8ecd5a992afbb19d5115b271a156b9bc0d04db96c3848be7b86c9cc7e"),
+    (8, 0.5, 0, 15, "aee2ea82aa04e5afa3593c0957546e9f31ee7693b8afad0db4c0e5397d0e2f34"),
+    (13, 0.37, 123456789, 34, "9be9d09176b17352e1bda75c0fd76ece550b037a8405e63ced5cbffea423f987"),
+    (40, 0.75, 20260810, 591, "91dbfa2b3b395aff64ebb31fe47c67a09925e64ef84f39e69847e091a9cbec2d"),
+    (65, 0.5, 42, 1035, "2a1ee873b97dc6e8cfa24222fe666754ea3555ba14770fb98f86b392ee473f12"),
+    (70, 0.1, 11, 245, "f49e2fa2445f2554852dd90ff67aacec591de60df68157e3fb0e5ab56bfc0c95"),
+    (130, 0.02, 2**64 + 5, 170, "4290735912aa09cb20a34211ad733adc165dfa876d1059771cfd91a65e8ef910"),
+]
+
+
+@pytest.mark.parametrize("n,p,seed,num_edges,digest", GNP_DIGESTS)
+def test_sample_gnp_edge_list_pinned(n, p, seed, num_edges, digest):
+    g = sample_gnp(n, p, seed)
+    assert g.num_edges == num_edges
+    assert hashlib.sha256(to_edge_list(g).encode("ascii")).hexdigest() == digest
+
+
+def random_edge_set(rng: random.Random, n: int, p: float) -> set:
+    return {(u, v) for u, v in combinations(range(n), 2) if rng.random() < p}
+
+
+def test_union_matches_edge_set_union():
+    rng = random.Random(7)
+    for n in (0, 1, 2, 7, 64, 65, 100):
+        for p, q in ((0.0, 0.3), (0.2, 0.2), (0.5, 0.9), (1.0, 0.1)):
+            a, b = random_edge_set(rng, n, p), random_edge_set(rng, n, q)
+            u = union(Graph(n, a), Graph(n, b))
+            assert u.edges == a | b
+            assert u.num_edges == len(a | b)
+            assert u == Graph(n, a | b) and hash(u) == hash(Graph(n, a | b))
+
+
+def test_count_cliques_matches_combinations_oracle():
+    rng = random.Random(11)
+    for n, p, s_max in ((0, 0.5, 5), (1, 0.5, 5), (6, 1.0, 5), (10, 0.6, 5), (14, 0.45, 5), (70, 0.2, 3)):
+        es = random_edge_set(rng, n, p)
+        g = Graph(n, es)
+        for s in range(1, s_max + 1):
+            expected = sum(
+                all(pair in es for pair in combinations(sub, 2)) for sub in combinations(range(n), s)
+            )
+            assert count_cliques(g, s) == expected, (n, p, s)
+
+
+def test_has_edge_rejects_out_of_range_vertices():
+    g = complete_graph(5)
+    assert g.has_edge(0, 4) and g.has_edge(4, 0)
+    # rows must not be read from the end: -1 is not vertex 4
+    for u, v in ((-1, 0), (0, -1), (-1, -2), (-5, 1), (5, 0), (0, 5), (70, 1), (2, 2)):
+        assert g.has_edge(u, v) is False
+    assert Graph(0).has_edge(0, 0) is False
+
+
+def test_equality_and_hash_agree_across_constructions():
+    for n, p, seed in ((0, 0.5, 1), (1, 0.5, 1), (12, 0.4, 3), (70, 0.1, 11)):
+        from_rows = sample_gnp(n, p, seed)
+        from_edges = parse_edge_list(to_edge_list(from_rows))
+        relabeled = induced_subgraph(from_edges, range(n))
+        for g in (from_edges, relabeled):
+            assert g == from_rows and hash(g) == hash(from_rows)
+        assert len({from_rows, from_edges, relabeled}) == 1
+    g = sample_gnp(12, 0.4, 3)
+    missing = next(pair for pair in combinations(range(12), 2) if pair not in g.edges)
+    assert Graph(12, g.edges | {missing}) != g
+    assert Graph(3) != Graph(4) and Graph(3) != frozenset()
 
 
 def test_union_identities():

@@ -102,6 +102,42 @@ def test_config_json_integer_fields():
                 ExperimentConfig.from_json_dict(dict(d, **{key: bad}))
 
 
+def test_config_json_wrong_shapes_name_the_field():
+    d = small_config().to_json_dict()
+    grid = small_config(p_grid=ExponentGrid(Fraction(9, 4), (Fraction(0),))).to_json_dict()["p_grid"]
+    cases = [
+        ([d], "config must be a JSON object"),
+        (dict(d, p_grid="0.5"), "config p_grid"),
+        (dict(d, p_grid=[0.5, None]), "config p_grid entry must be a number"),
+        (dict(d, base=["empty"]), "base must be a JSON object"),
+        (dict(d, base={"kind": "patched_bipartite", "eps": None}), "base eps must be a number"),
+        (dict(d, base={"kind": "file", "path": 3}), "base path must be a string"),
+        (dict(d, p_grid=dict(grid, alpha=[9, 4])), "p_grid alpha must be a number"),
+        (dict(d, p_grid=dict(grid, alpha="9/0")), "p_grid alpha must be a number"),
+        (dict(d, p_grid=dict(grid, mu_list="0")), "p_grid mu_list must be a JSON list"),
+        (dict(d, p_grid=dict(grid, mu_list=[{}])), "p_grid mu_list entry must be a number"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json_dict(bad)
+
+
+def test_sweep_csv_pinned():
+    # computed when sweeps built each random part from an edge list; the
+    # coupled rows must reproduce every verdict and clique mean
+    cfg = ExperimentConfig(n=12, m=2, base=BaseGraphSpec("patched_bipartite", eps=Fraction(1, 8)),
+                           p_grid=(0.0, 0.2, 0.35, 0.5, 0.75, 1.0), trials=8, seed=424242)
+    assert result_to_csv(run_sweep(cfg, workers=1)) == (
+        "p,found_frac,notfound_frac,unknown_frac,mean_kcliques\n"
+        "0,0,1,0,0\n"
+        "0.2,0.25,0.75,0,1.125\n"
+        "0.35,0.625,0.375,0,8.875\n"
+        "0.5,0.875,0.125,0,29.125\n"
+        "0.75,1,0,0,84.375\n"
+        "1,1,0,0,220\n"
+    )
+
+
 def test_exponent_grid():
     grid = ExponentGrid(Fraction(9, 4), (Fraction(0), Fraction(1, 10)))
     cfg = small_config(n=12, m=2, p_grid=grid)
