@@ -7,9 +7,11 @@ strict-balance check read the same result (the densest proper subset against
 the whole graph), and the first-moment profile applies its own objective to
 the same walk.  The optimized maximizer runs Dinkelbach iteration
 where each candidate ratio is tested by minimum cuts on the edge-selection
-network (one cut per anchor vertex forces nonempty subsets).  Every lambda
-visited is a realized density with denominator <= v - 1, so termination and
-exactness are automatic.
+network, one cut per anchor vertex in increasing order (the anchor forces a
+nonempty subset).  The cut for anchor v only needs the vertices v..n-1: a
+denser subset holding a smaller vertex would already have stopped the scan
+at that vertex.  Every lambda visited is a realized density with
+denominator <= v - 1, so termination and exactness are automatic.
 
 Also here: the closed-form braid density, strict-balance certification,
 first-moment exponent profiles (n^v p^e over subgraphs), and the exact
@@ -20,6 +22,7 @@ truncated-last-clique subgraphs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,11 +180,13 @@ class _Dinic:
     def _push(self, u: int, t: int, f: int, level, it) -> int:
         if u == t:
             return f
-        while it[u] < len(self.g[u]):
-            e = self.g[u][it[u]]
+        out = self.g[u]
+        nxt = level[u] + 1
+        while it[u] < len(out):
+            e = out[it[u]]
             v, cap, rev = e
-            if cap > 0 and level[v] == level[u] + 1:
-                d = self._push(v, t, min(f, cap), level, it)
+            if cap > 0 and level[v] == nxt:
+                d = self._push(v, t, f if f < cap else cap, level, it)
                 if d > 0:
                     e[1] -= d
                     self.g[v][rev][1] += d
@@ -216,43 +221,55 @@ class _Dinic:
 
 
 def _improving_subset(g: Graph, edges: list, lam: Fraction, anchor: int):
-    """A vertex set S containing `anchor` with density > lam, or None.
+    """A vertex set S with min(S) = `anchor` and density > lam, or None.
 
-    Network: source -> each edge node (cap b), edge node -> endpoints (inf),
-    vertex -> sink (cap a), source -> anchor (inf), where lam = a/b.  The
-    finite min cut equals b*(m - e(S)) + a*|S| minimized over S containing
-    the anchor, so max(b*e(S) - a*|S|) = b*m - mincut, and a strictly denser
-    subset exists iff that max exceeds -a.
+    Network on the vertices anchor..n-1 and the edges among them (a suffix of
+    the sorted edge list): source -> each edge node (cap b), edge node ->
+    endpoints (inf), vertex -> sink (cap a), source -> anchor (inf), where
+    lam = a/b.  The finite min cut equals b*(m - e(S)) + a*|S| minimized over
+    S containing the anchor, so max(b*e(S) - a*|S|) = b*m - mincut, and a
+    strictly denser subset exists iff that max exceeds -a.  The source side
+    of the residual network is the smallest maximizing S.
     """
     a, b = lam.numerator, lam.denominator
+    edges = edges[bisect_left(edges, (anchor,)):]
     m = len(edges)
-    n = g.n
     src = 0
-    sink = 1 + m + n
-    inf = b * m + a * n + 1
+    sink = 1 + m + g.n - anchor
+    node = 1 + m - anchor  # vertex v is node + v
+    inf = b * m + a * (g.n - anchor) + 1
     net = _Dinic(sink + 1)
-    for i, (u, v) in enumerate(edges):
-        node = 1 + i
-        net.add(src, node, b)
-        net.add(node, 1 + m + u, inf)
-        net.add(node, 1 + m + v, inf)
-    for v in range(n):
-        net.add(1 + m + v, sink, a)
-    net.add(src, 1 + m + anchor, inf)
+    for i, (u, v) in enumerate(edges, 1):
+        net.add(src, i, b)
+        net.add(i, node + u, inf)
+        net.add(i, node + v, inf)
+    for v in range(anchor, g.n):
+        net.add(node + v, sink, a)
+    net.add(src, node + anchor, inf)
     mincut = net.max_flow(src, sink)
     if b * m - mincut + a <= 0:
         return None
     side = net.source_side(src)
-    return sorted(v for v in range(n) if (1 + m + v) in side)
+    return [v for v in range(anchor, g.n) if node + v in side]
 
 
 def max_density_opt(g: Graph) -> DensityReport:
     """Same value as max_density_brute, via exact Dinkelbach iteration.
 
     Each iteration tests "is there a subset strictly denser than lam" with
-    one min cut per anchor vertex; any hit yields a realized density strictly
-    above lam, so the sequence of lambdas is a strictly increasing walk
-    through the finite set of realized densities and terminates exactly.
+    one min cut per anchor vertex, in increasing order; any hit yields a
+    realized density strictly above lam, so the sequence of lambdas is a
+    strictly increasing walk through the finite set of realized densities
+    and terminates exactly.
+
+    The cut for anchor v is built on the vertices v..n-1 and the edges among
+    them only.  That is exact: when anchor v is tried, no anchor u < v had a
+    subset denser than lam, so no such subset contains u.  Hence, whenever
+    some S containing v is denser than lam, every maximizer of
+    b*e(S) - a*|S| over the sets S containing v lies in v..n-1.  The first
+    improving anchor, the optimum of its cut and the smallest optimal source
+    side, which becomes the witness, are therefore those of the cut on the
+    whole graph.
     """
     if g.n < 2:
         raise ValueError("max density needs at least 2 vertices")

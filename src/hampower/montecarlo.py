@@ -59,8 +59,11 @@ def _json_int(d: dict, key: str, optional: bool = False) -> int | None:
 
 
 def _number(what: str, value, kind=Fraction):
-    """kind(value) (Fraction accepts fraction strings such as "1/8"), or a
-    ValueError naming the field."""
+    """kind(value), or a ValueError naming the field.  JSON true and false
+    are not numbers; strings are read only as Fractions, in the form such as
+    "1/8" that `to_json_dict` writes."""
+    if isinstance(value, bool) or (isinstance(value, str) and kind is not Fraction):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

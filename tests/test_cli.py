@@ -50,7 +50,8 @@ def test_density_max(tmp_path, capsys):
     assert payload["value"] == "30/11"
     assert payload["method"] == "brute"
     code, out = run_cli(capsys, "density", "--input", str(f), "--opt")
-    assert json.loads(out)["value"] == "30/11"
+    assert code == EXIT_OK
+    assert json.loads(out) == {"value": "30/11", "witness": list(range(12)), "method": "optimized"}
 
 
 def test_density_balanced_exit_codes(tmp_path, capsys):
@@ -213,7 +214,9 @@ def test_malformed_sweep_config_is_usage_error(tmp_path, capsys):
     (5, "config must be a JSON object"),
     ({"n": 8, "m": 2, "base": {"kind": "empty"}, "p_grid": 0.5, "trials": 1, "seed": 0}, "config p_grid"),
     ({"n": 8, "m": 2, "base": "empty", "p_grid": [0.5], "trials": 1, "seed": 0}, "base must be a JSON object"),
-], ids=["top-level-number", "scalar-p_grid", "string-base"])
+    ({"n": 8, "m": 2, "base": {"kind": "empty"}, "p_grid": [True], "trials": 1, "seed": 0},
+     "config p_grid entry must be a number"),
+], ids=["top-level-number", "scalar-p_grid", "string-base", "boolean-p_grid-entry"])
 def test_wrong_shape_sweep_config_is_usage_error(tmp_path, capsys, cfg, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

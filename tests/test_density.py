@@ -22,7 +22,7 @@ from hampower.density import (
     truncation_margin_low,
     verify_truncation_margins,
 )
-from hampower.graphs import Graph, complete_graph, path_power, sample_gnp
+from hampower.graphs import Graph, complete_graph, cycle_power, path_power, sample_gnp
 from hampower.thresholds import braid_density_limit
 
 
@@ -96,6 +96,17 @@ def test_max_density_opt_two_isolated_edges():
     g = Graph(6, [(0, 1), (2, 3)])
     rep = max_density_opt(g)
     assert rep.value == 1 and rep.method == "optimized"
+
+
+def test_max_density_opt_large_strictly_balanced():
+    # powers of paths and cycles are their own densest subgraphs; these sizes
+    # are far beyond brute force
+    n = 200
+    rep = max_density_opt(cycle_power(n, 2))
+    assert rep.value == Fraction(400, 199) and rep.witness == tuple(range(n))
+    n = 150
+    rep = max_density_opt(path_power(n, 3))
+    assert rep.value == Fraction(444, 149) and rep.witness == tuple(range(n))
 
 
 def test_max_density_opt_equals_brute_on_corpus():
@@ -293,3 +304,43 @@ def test_golden_density_corpus():
     assert len(lines) == GOLDEN_DENSITY_GRAPHS
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_DENSITY_SHA256
+
+
+# Golden values of max_density_opt: the exact (value, witness) on a corpus of
+# braids, seeded G(n, p) (sparse ones with isolated vertices among them) and
+# disjoint cliques, digested.  The witness is the first improving anchor's
+# minimal min-cut source side, so the digest pins the whole Dinkelbach path,
+# not just the optimum.
+GOLDEN_OPT_GRAPHS = 115
+GOLDEN_OPT_SHA256 = "95b9cfe10d8512a0f20a8ff4445ed7ee76e6f151c3eddc9be2d3634f0d788cbd"
+
+
+def golden_opt_corpus() -> list[Graph]:
+    gs = [
+        braid(ell, r, t)
+        for ell in range(2, 9)
+        for r in range(1, ell + 1)
+        for t in range(2, 5)
+        if t * ell <= 16
+    ]
+    gs += [sample_gnp(12, 0.4, 7000 + seed) for seed in range(40)]
+    gs += [sample_gnp(n, 0.1, 5100 + n) for n in (8, 12, 16, 20)]
+    gs += [Graph(6, [(0, 1), (2, 3)]), disjoint_cliques(4, 4), disjoint_cliques(2, 3, 3)]
+    gs += [braid(*key) for key in ((5, 3, 6), (6, 3, 8), (4, 3, 14), (6, 4, 11), (7, 3, 10))]
+    gs += [sample_gnp(30, 0.3, 9300 + seed) for seed in range(5)]
+    return gs
+
+
+def golden_opt_lines() -> list[str]:
+    lines = []
+    for i, g in enumerate(golden_opt_corpus()):
+        rep = max_density_opt(g)
+        lines.append(f"{i}: {rep.value} {rep.witness}")
+    return lines
+
+
+def test_golden_opt_corpus():
+    lines = golden_opt_lines()
+    assert len(lines) == GOLDEN_OPT_GRAPHS
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_OPT_SHA256

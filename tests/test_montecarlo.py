@@ -116,10 +116,27 @@ def test_config_json_wrong_shapes_name_the_field():
         (dict(d, p_grid=dict(grid, alpha="9/0")), "p_grid alpha must be a number"),
         (dict(d, p_grid=dict(grid, mu_list="0")), "p_grid mu_list must be a JSON list"),
         (dict(d, p_grid=dict(grid, mu_list=[{}])), "p_grid mu_list entry must be a number"),
+        # JSON booleans are never numbers, and probabilities are never strings
+        (dict(d, p_grid=[True]), "config p_grid entry must be a number"),
+        (dict(d, p_grid=[0.5, False]), "config p_grid entry must be a number"),
+        (dict(d, p_grid=["0.5"]), "config p_grid entry must be a number"),
+        (dict(d, base={"kind": "patched_bipartite", "eps": True}), "base eps must be a number"),
+        (dict(d, p_grid=dict(grid, alpha=True)), "p_grid alpha must be a number"),
+        (dict(d, p_grid=dict(grid, mu_list=["0", False])), "p_grid mu_list entry must be a number"),
     ]
     for bad, message in cases:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json_dict(bad)
+
+
+def test_config_json_fraction_strings_stay_valid():
+    # to_json_dict writes eps, alpha and mu_list as fraction strings
+    d = small_config(base=BaseGraphSpec("patched_bipartite", eps=Fraction(1, 8)), n=16,
+                     p_grid=ExponentGrid(Fraction(9, 4), (Fraction(-1, 8), Fraction(0)))).to_json_dict()
+    assert d["base"]["eps"] == "1/8" and d["p_grid"] == {"alpha": "9/4", "mu_list": ["-1/8", "0"]}
+    cfg = ExperimentConfig.from_json_dict(d)
+    assert cfg.base.eps == Fraction(1, 8)
+    assert cfg.p_grid == ExponentGrid(Fraction(9, 4), (Fraction(-1, 8), Fraction(0)))
 
 
 def test_sweep_csv_pinned():
