@@ -31,28 +31,21 @@ def _emit_graph(g, args):
 
 
 def _cmd_braid(args) -> int:
-    if args.s == 1:
-        g = braids.braid(args.ell, args.r, args.t)
-    else:
-        g = braids.s_braids(args.ell, args.r, args.t, args.s)
-    _emit_graph(g, args)
+    _emit_graph(braids.s_braids(args.ell, args.r, args.t, args.s), args)
     return EXIT_OK
 
 
+_GEN_KINDS = {
+    "complete": lambda a: graphs.complete_graph(a.n),
+    "path-power": lambda a: graphs.path_power(a.v, a.m),
+    "cycle-power": lambda a: graphs.cycle_power(a.v, a.m),
+    "patched-bipartite": lambda a: graphs.patched_bipartite(a.n, Fraction(a.eps)),
+    "gnp": lambda a: graphs.sample_gnp(a.n, a.p, a.seed),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.kind == "complete":
-        g = graphs.complete_graph(args.n)
-    elif args.kind == "path-power":
-        g = graphs.path_power(args.v, args.m)
-    elif args.kind == "cycle-power":
-        g = graphs.cycle_power(args.v, args.m)
-    elif args.kind == "patched-bipartite":
-        g = graphs.patched_bipartite(args.n, Fraction(args.eps))
-    elif args.kind == "gnp":
-        g = graphs.sample_gnp(args.n, args.p, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.kind)
-    _emit_graph(g, args)
+    _emit_graph(_GEN_KINDS[args.kind](args), args)
     return EXIT_OK
 
 
@@ -89,40 +82,21 @@ def _frac(x) -> str:
 def _tables_payload(m_max: int) -> dict:
     report = thresholds.build_tables(m_max)
     records = [thresholds.threshold_exponent(m) for m in range(2, m_max + 1)]
+    cells = {"alpha": [], "optimal": [], "summary": []}
+    for c in report.cells():
+        table = c.name.partition("[")[0]  # "alpha[7]", "optimal[7].floor", "summary[10].r"
+        row = {"name": c.name, "computed": _frac(c.computed), "expected": _frac(c.expected),
+               "match": c.match}
+        if table == "summary":
+            row["known_inconsistent"] = c.known_inconsistent
+        cells[table].append(row)
     return {
         "exponents": [
-            {
-                "m": r.m,
-                "ell": r.ell,
-                "density_at_ell": str(r.density_at_ell),
-                "alpha": str(r.alpha),
-                "exponent_of_n": str(-1 / r.alpha),
-                "regime": r.regime,
-            }
+            {"m": r.m, "ell": r.ell, "density_at_ell": str(r.density_at_ell), "alpha": str(r.alpha),
+             "exponent_of_n": str(-1 / r.alpha), "regime": r.regime}
             for r in records
         ],
-        "cells": {
-            "alpha": [
-                {"name": c.name, "computed": _frac(c.computed), "expected": _frac(c.expected), "match": c.match}
-                for c in report.alpha_rows
-            ],
-            "optimal": [
-                {"name": c.name, "computed": _frac(c.computed), "expected": _frac(c.expected), "match": c.match}
-                for rows in report.optimal_rows.values()
-                for c in rows
-            ],
-            "summary": [
-                {
-                    "name": c.name,
-                    "computed": _frac(c.computed),
-                    "expected": _frac(c.expected),
-                    "match": c.match,
-                    "known_inconsistent": c.known_inconsistent,
-                }
-                for rows in report.summary_rows.values()
-                for c in rows
-            ],
-        },
+        "cells": cells,
         "discrepancies": report.discrepancies,
         "ok": report.ok,
     }
@@ -130,23 +104,18 @@ def _tables_payload(m_max: int) -> dict:
 
 def _cmd_threshold_table(args) -> int:
     payload = _tables_payload(args.m_max)
+    rows = [[str(v) for v in row.values()] for row in payload["exponents"]]
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         print("m,ell,density_at_ell,alpha,exponent_of_n,regime")
-        for row in payload["exponents"]:
-            print(
-                f"{row['m']},{row['ell']},{row['density_at_ell']},"
-                f"{row['alpha']},{row['exponent_of_n']},{row['regime']}"
-            )
+        for row in rows:
+            print(",".join(row))
     else:
         print("| m | ell | density at ell | alpha | exponent of n | regime |")
         print("|---|-----|----------------|-------|---------------|--------|")
-        for row in payload["exponents"]:
-            print(
-                f"| {row['m']} | {row['ell']} | {row['density_at_ell']} | "
-                f"{row['alpha']} | {row['exponent_of_n']} | {row['regime']} |"
-            )
+        for row in rows:
+            print(f"| {' | '.join(row)} |")
         for note in payload["discrepancies"]:
             print(f"NOTE: {note}")
     return EXIT_OK if payload["ok"] else EXIT_COUNTEREXAMPLE
@@ -181,8 +150,9 @@ def _verify_tables(args):
     report = thresholds.build_tables()
     lines = [f"table cells checked; discrepancies: {len(report.discrepancies)}"]
     lines += [f"  {d}" for d in report.discrepancies]
-    flagged = [d for d in report.discrepancies if "known inconsistent" in d]
-    ok = report.ok and len(flagged) == len(report.discrepancies) and len(flagged) == 2
+    flagged = sum(c.known_inconsistent and not c.match for c in report.cells())
+    ok = (report.ok and flagged == len(report.discrepancies)
+          and flagged == len(thresholds.KNOWN_INCONSISTENT_SUMMARY_CELLS))
     cex = None if ok else "unexpected table mismatch"
     return ok, lines, cex
 
@@ -262,17 +232,17 @@ def _verify_balanced(args):
                     continue
                 g = braids.braid(ell, r, t)
                 rep = density.max_density_brute(g)
-                if ell < r * (r + 1):
-                    expected = density.braid_density(ell, r, t)
-                    balanced, witness = density.is_strictly_balanced(g)
-                    ok = rep.value == expected and balanced
+                braid_regime = ell < r * (r + 1)
+                if braid_regime:
+                    # strictly balanced iff the brute witness is the whole vertex set
+                    ok = rep.value == density.braid_density(ell, r, t) and len(rep.witness) == g.n
                 else:
                     ok = rep.value == Fraction(ell, 2)
                 if not ok and bad is None:
                     bad = f"(ell={ell}, r={r}, t={t}): max density {rep.value}"
                 lines.append(
                     f"ell={ell} r={r} t={t}: max={rep.value} "
-                    f"{'braid' if ell < r * (r + 1) else 'clique'} regime"
+                    f"{'braid' if braid_regime else 'clique'} regime"
                 )
     return bad is None, lines, bad
 

@@ -10,13 +10,16 @@ where each candidate ratio is tested by minimum cuts on the edge-selection
 network, one cut per anchor vertex in increasing order (the anchor forces a
 nonempty subset).  The cut for anchor v only needs the vertices v..n-1: a
 denser subset holding a smaller vertex would already have stopped the scan
-at that vertex.  Every lambda visited is a realized density with
+at that vertex.  The cut itself needs no search of its own: Dinic's last
+level search, the one that no longer reaches the sink, has marked exactly
+the residual source side.  Every lambda visited is a realized density with
 denominator <= v - 1, so termination and exactness are automatic.
 
-Also here: the closed-form braid density, strict-balance certification,
-first-moment exponent profiles (n^v p^e over subgraphs), and the exact
-positivity certificates showing a braid is denser than any of its
-truncated-last-clique subgraphs.
+Also here: the closed-form braid density (its edge count is
+`braids.braid_edge_count`), strict-balance certification, first-moment
+exponent profiles (n^v p^e over subgraphs), and the exact positivity
+certificates showing a braid is denser than any of its truncated-last-clique
+subgraphs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .braids import braid_edge_count, check_braid_params
 from .graphs import Graph, induced_edge_count
+from .thresholds import braid_density_limit
 
 
 class CapExceeded(ValueError):
@@ -132,7 +137,8 @@ def max_density_brute(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> DensityReport:
 
     Induced subgraphs suffice: deleting edges from a fixed vertex set never
     increases the density.  Ties break to the smallest witness, then
-    lexicographic.
+    lexicographic, so the witness is the whole vertex set exactly when g is
+    strictly balanced.
     """
     e, size, mask, _ = _brute_densest(g, cap, "max density")
     return DensityReport(Fraction(e, size - 1), _mask_vertices(mask), "brute")
@@ -165,7 +171,7 @@ class _Dinic:
         self.g[u].append([v, cap, len(self.g[v])])
         self.g[v].append([u, 0, len(self.g[u]) - 1])
 
-    def _levels(self, s: int, t: int):
+    def _levels(self, s: int):
         level = [-1] * self.n
         level[s] = 0
         q = deque([s])
@@ -175,7 +181,7 @@ class _Dinic:
                 if cap > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     q.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
     def _push(self, u: int, t: int, f: int, level, it) -> int:
         if u == t:
@@ -194,30 +200,24 @@ class _Dinic:
             it[u] += 1
         return 0
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int):
+        """(flow value, levels of the final residual network).
+
+        The last level search is the one that fails to reach t, so the
+        vertices it leveled (level >= 0) are exactly those reachable from s
+        in the residual network: the source side of a minimum cut.
+        """
         flow = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
+            level = self._levels(s)
+            if level[t] < 0:
+                return flow, level
             it = [0] * self.n
             while True:
                 f = self._push(s, t, 1 << 300, level, it)
                 if f == 0:
                     break
                 flow += f
-
-    def source_side(self, s: int) -> set[int]:
-        """Vertices reachable from s in the residual network (a minimum cut)."""
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v, cap, _ in self.g[u]:
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
 
 
 def _improving_subset(g: Graph, edges: list, lam: Fraction, anchor: int):
@@ -246,11 +246,10 @@ def _improving_subset(g: Graph, edges: list, lam: Fraction, anchor: int):
     for v in range(anchor, g.n):
         net.add(node + v, sink, a)
     net.add(src, node + anchor, inf)
-    mincut = net.max_flow(src, sink)
+    mincut, level = net.max_flow(src, sink)
     if b * m - mincut + a <= 0:
         return None
-    side = net.source_side(src)
-    return [v for v in range(anchor, g.n) if node + v in side]
+    return [v for v in range(anchor, g.n) if level[node + v] >= 0]
 
 
 def max_density_opt(g: Graph) -> DensityReport:
@@ -303,10 +302,7 @@ def max_density_opt(g: Graph) -> DensityReport:
 
 def braid_density(ell: int, r: int, t: int) -> Fraction:
     """1-density of B(ell, r, t): (t*C(ell,2) + (t-1)*C(r+1,2)) / (t*ell - 1)."""
-    from .braids import check_braid_params
-
-    check_braid_params(ell, r, t)
-    return Fraction(t * comb(ell, 2) + (t - 1) * comb(r + 1, 2), t * ell - 1)
+    return Fraction(braid_edge_count(ell, r, t), t * ell - 1)
 
 
 def braid_density_gap_form(ell: int, r: int, t: int) -> Fraction:
@@ -315,9 +311,6 @@ def braid_density_gap_form(ell: int, r: int, t: int) -> Fraction:
     Strictly increasing in t exactly when ell < r*(r+1), with the limit
     braid_density_limit(ell + r, ell).
     """
-    from .braids import check_braid_params
-    from .thresholds import braid_density_limit
-
     check_braid_params(ell, r, t)
     return braid_density_limit(ell + r, ell) - Fraction(
         (ell - 1) * (r * (r + 1) - ell), 2 * ell * (t * ell - 1)
@@ -383,16 +376,16 @@ def truncation_margin_low(ell: int, r: int, t: int, x: int) -> int:
     """Margin for 0 <= x <= r: each kept vertex of the last clique contributes
     exactly r edges.  At x=0 this equals (ell-1)*(r*(r+1)-ell)/2, which
     vanishes exactly on the boundary ell = r*(r+1)."""
-    braid_e = t * comb(ell, 2) + (t - 1) * comb(r + 1, 2)
-    trunc_e = (t - 1) * comb(ell, 2) + (t - 2) * comb(r + 1, 2) + r * x
+    braid_e = braid_edge_count(ell, r, t)
+    trunc_e = braid_e - comb(ell, 2) - comb(r + 1, 2) + r * x
     return braid_e * ((t - 1) * ell + x - 1) - trunc_e * (t * ell - 1)
 
 
 def truncation_margin_high(ell: int, r: int, t: int, x: int) -> int:
     """Margin for r+1 <= x <= ell-1: the kept vertices induce a K_x joined to
     the previous clique by a full r-bridge."""
-    braid_e = t * comb(ell, 2) + (t - 1) * comb(r + 1, 2)
-    trunc_e = (t - 1) * comb(ell, 2) + (t - 1) * comb(r + 1, 2) + comb(x, 2)
+    braid_e = braid_edge_count(ell, r, t)
+    trunc_e = braid_e - comb(ell, 2) + comb(x, 2)
     return braid_e * ((t - 1) * ell + x - 1) - trunc_e * (t * ell - 1)
 
 

@@ -108,11 +108,13 @@ def _tables(n: int, m: int) -> tuple[tuple, tuple]:
 def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOutcome:
     """Decide membership in the m-th-power-of-Hamiltonian-cycle family.
 
-    Requires n >= m + 2 (the property's domain).  `budget` caps the number of
-    vertex placements; exceeding it returns Unknown.
+    Requires n >= m + 2 (the property's domain).  `budget`, None or at least
+    1, caps the number of vertex placements; exceeding it returns Unknown.
     """
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be positive or None")
     n = g.n
     if n < m + 2:
         raise ValueError(f"property needs n >= m + 2, got n={n}, m={m}")

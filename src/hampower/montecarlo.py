@@ -113,6 +113,10 @@ class BaseGraphSpec:
             raise ValueError("patched_bipartite base needs eps")
         if self.kind == "file" and not self.path:
             raise ValueError("file base needs a path")
+        if self.eps is not None and self.kind != "patched_bipartite":
+            raise ValueError(f"base eps is used only by kind 'patched_bipartite', not {self.kind!r}")
+        if self.path is not None and self.kind != "file":
+            raise ValueError(f"base path is used only by kind 'file', not {self.kind!r}")
 
     def build(self, n: int) -> Graph:
         if self.kind == "complete":
@@ -277,17 +281,12 @@ def _run_trial(base: Graph, n: int, m: int, ps: tuple[float, ...], seed: int,
     k = len(ps)
     by_p = sorted(range(k), key=lambda i: (ps[i], i))
 
-    random_parts: list[Graph | None] = [None] * k
+    random_parts = [gnp(p) for p in ps]  # each one's cliques are counted below
     graphs: list[Graph | None] = [None] * k
-
-    def random_part(gi: int) -> Graph:
-        if random_parts[gi] is None:
-            random_parts[gi] = gnp(ps[gi])
-        return random_parts[gi]
 
     def graph_at(gi: int) -> Graph:
         if graphs[gi] is None:
-            graphs[gi] = union(base, random_part(gi))
+            graphs[gi] = union(base, random_parts[gi])
         return graphs[gi]
 
     probes: dict[int, object] = {}  # position in by_p -> SearchOutcome
@@ -319,7 +318,7 @@ def _run_trial(base: Graph, n: int, m: int, ps: tuple[float, ...], seed: int,
         else:
             verdicts[gi] = contains_ham_power(graph_at(gi), m, budget).verdict
 
-    return t, [(verdicts[gi], count_cliques(random_part(gi), m + 1)) for gi in range(k)]
+    return t, [(verdicts[gi], count_cliques(random_parts[gi], m + 1)) for gi in range(k)]
 
 
 def _worker(args):

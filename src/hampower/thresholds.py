@@ -178,15 +178,17 @@ class TablesReport:
     summary_rows: dict[int, list[TableCell]] = field(default_factory=dict)
     discrepancies: list[str] = field(default_factory=list)
 
+    def cells(self):
+        """Every cell in table order: alpha, then optimal-ell, then summary."""
+        yield from self.alpha_rows
+        for table in (self.optimal_rows, self.summary_rows):
+            for rows in table.values():
+                yield from rows
+
     @property
     def ok(self) -> bool:
         """True iff every mismatch is one of the known-inconsistent pinned cells."""
-        cells = list(self.alpha_rows)
-        for rows in self.optimal_rows.values():
-            cells.extend(rows)
-        for rows in self.summary_rows.values():
-            cells.extend(rows)
-        return all(c.match or c.known_inconsistent for c in cells)
+        return all(c.match or c.known_inconsistent for c in self.cells())
 
 
 # Optimal-ell worksheet for m in {7, 10, ..., 14}: lambda^2, floor, ceil,
@@ -252,79 +254,51 @@ def build_tables(m_max: int = 10) -> TablesReport:
     cells and the optimal-ell cells are recomputed.
     """
     report = TablesReport()
+    titles = {"alpha": "alpha table", "optimal": "optimal-ell table", "summary": "summary table"}
+
+    def compare(table, m, columns, computed, pinned) -> list[TableCell]:
+        """One cell per column; the alpha table's single column is None."""
+        cells = []
+        for name, comp, exp in zip(columns, computed, pinned):
+            known = table == "summary" and (m, name) in KNOWN_INCONSISTENT_SUMMARY_CELLS
+            suffix = "" if name is None else f".{name}"
+            cells.append(TableCell(f"{table}[{m}]{suffix}", comp, exp, comp == exp, known))
+            if comp != exp:
+                where = f"m={m}" if name is None else f"m={m}, {name}"
+                tag = " (known inconsistent; computed value wins)" if known else ""
+                report.discrepancies.append(
+                    f"{titles[table]}, {where}: computed {comp} != pinned {exp}{tag}"
+                )
+        return cells
 
     for m in sorted(REFERENCE_ALPHAS):
         computed = threshold_exponent(m).alpha
-        expected = REFERENCE_ALPHAS[m]
-        cell = TableCell(f"alpha[{m}]", computed, expected, computed == expected)
-        report.alpha_rows.append(cell)
-        if not cell.match:
-            report.discrepancies.append(
-                f"alpha table, m={m}: computed {computed} != pinned {expected}"
-            )
+        report.alpha_rows += compare("alpha", m, (None,), (computed,), (REFERENCE_ALPHAS[m],))
 
     for m, pinned in sorted(REFERENCE_OPTIMAL_TABLE.items()):
         fl, ce = optimal_ell_floor_ceil(m)
         ell = optimal_ell(m)
-        computed_row = (
-            int(optimal_ell_sq(m)),
-            fl,
-            ce,
-            braid_density_limit(m, fl),
-            braid_density_limit(m, ce),
-            ell,
-            m - ell,
-            (m - ell) * (m - ell + 1),
+        computed = (
+            int(optimal_ell_sq(m)), fl, ce, braid_density_limit(m, fl), braid_density_limit(m, ce),
+            ell, m - ell, (m - ell) * (m - ell + 1),
         )
-        names = (
-            "lambda_sq", "floor", "ceil", "density_at_floor",
-            "density_at_ceil", "ell", "r", "r_capacity",
-        )
-        cells = []
-        for name, comp, exp in zip(names, computed_row, pinned):
-            cell = TableCell(f"optimal[{m}].{name}", comp, exp, comp == exp)
-            cells.append(cell)
-            if not cell.match:
-                report.discrepancies.append(
-                    f"optimal-ell table, m={m}, {name}: computed {comp} != pinned {exp}"
-                )
-        report.optimal_rows[m] = cells
+        columns = ("lambda_sq", "floor", "ceil", "density_at_floor", "density_at_ceil",
+                   "ell", "r", "r_capacity")
+        report.optimal_rows[m] = compare("optimal", m, columns, computed, pinned)
 
-    max_summary = min(m_max, max(REFERENCE_SUMMARY_TABLE))
-    for m in range(2, max_summary + 1):
+    for m in range(2, min(m_max, max(REFERENCE_SUMMARY_TABLE)) + 1):
         pinned = REFERENCE_SUMMARY_TABLE[m]
         ell = summary_ell(m)
-        r = m - ell
-        ellm = optimal_ell(m)
-        circled = None
-        if ellm == ell:
-            circled = "at_ell"
-        elif ellm == ell - 1:
-            circled = "at_ell_minus_1"
-        computed_row = {
-            "ell": ell,
-            "r": r,
-            "density_at_ell": braid_density_limit(m, ell) if pinned[2] is not None else None,
-            "density_at_ell_minus_1": (
-                braid_density_limit(m, ell - 1) if pinned[3] is not None else None
-            ),
-            "circled": circled if pinned[4] is not None else None,
-            "exponent": threshold_exponent_of_n(m),
-            "classic": m in CLASSIC_MS,
-        }
-        names = ("ell", "r", "density_at_ell", "density_at_ell_minus_1",
-                 "circled", "exponent", "classic")
-        cells = []
-        for name, exp in zip(names, pinned):
-            comp = computed_row[name]
-            known = (m, name) in KNOWN_INCONSISTENT_SUMMARY_CELLS
-            cell = TableCell(f"summary[{m}].{name}", comp, exp, comp == exp, known)
-            cells.append(cell)
-            if not cell.match:
-                tag = " (known inconsistent; computed value wins)" if known else ""
-                report.discrepancies.append(
-                    f"summary table, m={m}, {name}: computed {comp} != pinned {exp}{tag}"
-                )
-        report.summary_rows[m] = cells
+        circled = {ell: "at_ell", ell - 1: "at_ell_minus_1"}.get(optimal_ell(m))
+        computed = (
+            ell, m - ell,
+            braid_density_limit(m, ell) if pinned[2] is not None else None,
+            braid_density_limit(m, ell - 1) if pinned[3] is not None else None,
+            circled if pinned[4] is not None else None,
+            threshold_exponent_of_n(m), m in CLASSIC_MS,
+        )
+        columns = ("ell", "r", "density_at_ell", "density_at_ell_minus_1", "circled",
+                   "exponent", "classic")
+        report.summary_rows[m] = compare("summary", m, columns, computed, pinned)
 
     return report

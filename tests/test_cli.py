@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -129,6 +130,16 @@ def test_search_budget_exit(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "unknown"
 
 
+def test_search_budget_below_one_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "k7.edges"
+    graphs.save_edge_list(graphs.complete_graph(7), f)
+    for budget in ("0", "-4"):
+        code = main(["search", "--input", str(f), "--m", "2", "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "budget must be positive or None" in captured.err
+
+
 def test_verify_targets(capsys):
     code, out = run_cli(capsys, "verify", "regime", "--m-max", "60")
     assert code == EXIT_OK and "PASS" in out
@@ -216,7 +227,9 @@ def test_malformed_sweep_config_is_usage_error(tmp_path, capsys):
     ({"n": 8, "m": 2, "base": "empty", "p_grid": [0.5], "trials": 1, "seed": 0}, "base must be a JSON object"),
     ({"n": 8, "m": 2, "base": {"kind": "empty"}, "p_grid": [True], "trials": 1, "seed": 0},
      "config p_grid entry must be a number"),
-], ids=["top-level-number", "scalar-p_grid", "string-base", "boolean-p_grid-entry"])
+    ({"n": 8, "m": 2, "base": {"kind": "complete", "eps": "1/8", "path": "x"}, "p_grid": [0.5],
+      "trials": 1, "seed": 0}, "base eps is used only by kind 'patched_bipartite'"),
+], ids=["top-level-number", "scalar-p_grid", "string-base", "boolean-p_grid-entry", "unused-base-fields"])
 def test_wrong_shape_sweep_config_is_usage_error(tmp_path, capsys, cfg, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -234,3 +247,97 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("m,ell,")
+
+
+# Golden transcripts: the sha256 of (exit code, stdout) of each call below,
+# computed once and pinned, so any refactor of the CLI or of the layers it
+# prints must keep every output byte.  "{name}" in an argument is replaced by
+# the path of an edge-list file written from GOLDEN_CLI_INPUTS.
+GOLDEN_CLI_INPUTS = {
+    "braid": lambda: braids.braid(4, 3, 3),
+    "two_k4": lambda: braids.s_braids(4, 1, 1, 2),
+    "gnp": lambda: graphs.sample_gnp(12, 0.35, 2),
+}
+
+GOLDEN_CLI_CALLS = {
+    "table-json-12": ["threshold-table", "--m-max", "12", "--format", "json"],
+    "table-json-3": ["threshold-table", "--m-max", "3", "--format", "json"],
+    "table-csv-14": ["threshold-table", "--m-max", "14", "--format", "csv"],
+    "table-markdown": ["threshold-table"],
+    "verify-tables-text": ["verify", "tables", "--verbose"],
+    "verify-tables-json": ["verify", "tables", "--format", "json"],
+    "verify-regime": ["verify", "regime", "--m-max", "60", "--verbose"],
+    "verify-balanced": ["verify", "balanced", "--verbose"],
+    "verify-balanced-small": ["verify", "balanced", "--ell-max", "5", "--t-max", "3", "--verbose"],
+    "verify-tail-margins": ["verify", "tail-margins", "--verbose"],
+    "verify-edge-floor": ["verify", "edge-floor", "--m", "3", "--lmax", "11", "--verbose"],
+    "verify-m6": ["verify", "m6", "--verbose"],
+    "verify-m9": ["verify", "m9", "--lmax", "11", "--verbose"],
+    "verify-all": ["verify", "all", "--lmax", "9", "--m-max", "40", "--ell-max", "6",
+                   "--t-max", "2", "--verbose"],
+    "verify-all-json": ["verify", "all", "--lmax", "8", "--m-max", "30", "--ell-max", "5",
+                        "--t-max", "2", "--format", "json"],
+    "braid": ["braid", "--ell", "5", "--r", "3", "--t", "4"],
+    "braid-s2": ["braid", "--ell", "4", "--r", "2", "--t", "3", "--s", "2"],
+    "braid-dot": ["braid", "--ell", "3", "--r", "1", "--t", "2", "--dot"],
+    "gen-complete": ["gen", "complete", "--n", "6"],
+    "gen-path-power": ["gen", "path-power", "--v", "9", "--m", "3"],
+    "gen-cycle-power": ["gen", "cycle-power", "--v", "9", "--m", "2", "--dot"],
+    "gen-patched-bipartite": ["gen", "patched-bipartite", "--n", "12", "--eps", "1/12"],
+    "gen-gnp": ["gen", "gnp", "--n", "15", "--p", "0.4", "--seed", "7"],
+    "density-max": ["density", "--input", "{gnp}"],
+    "density-opt": ["density", "--input", "{gnp}", "--opt"],
+    "density-balanced": ["density", "--input", "{braid}", "--balanced"],
+    "density-unbalanced": ["density", "--input", "{two_k4}", "--balanced"],
+    "density-phi": ["density", "--input", "{gnp}", "--phi", "100", "0.3"],
+    "normalize": ["normalize", "--m", "3", "--labels", "ABAAAA", "--transcript"],
+}
+
+GOLDEN_CLI_SHA256 = {
+    "table-json-12": "5f98f948fd3eafcdb9f8d356516fdd04f2a3d477d2603af50049d35aadcc8473",
+    "table-json-3": "5800a8b35c1307961f1ea45639b2d016e5ccb0143294d0557cdf3f9a3cb10c68",
+    "table-csv-14": "dc0a1d77d7b07d40b607b151451b34c3d83cd1584e16f35eab3634f6f7f58f12",
+    "table-markdown": "792a9c1af54a5590dad640b6ff5879f0481a80d92aa72b08e1da26e858c8e65f",
+    "verify-tables-text": "8acbb76f2e2e4026d7a59f8374d9e73e73ad59d3657766072e5be680923823e9",
+    "verify-tables-json": "6a0a9feefb43b76cc4b2ae0bc5de5e51c55beec349fc1f1b8d6857d6b22b8e64",
+    "verify-regime": "44e15afd24f423892b7b839e3163530a1f19ac0c9808d4e4d6e31a32df0d065b",
+    "verify-balanced": "342346a0a09f675d5f4f7be1b8960a60678d308cf8fc23c586376a05c571892c",
+    "verify-balanced-small": "bfd3631f1dd8114f480c1406bcb14f8e5c6ef2e3e4d0b34a007c8ccd77101664",
+    "verify-tail-margins": "b7585f1d529c4a8273e8b7d10167a2107215debb08a7be294eaea1ffd87f52d5",
+    "verify-edge-floor": "bab2f421670332313ca59471ba4caf752091ab4f79cc85525e8efd69e23a3401",
+    "verify-m6": "970cdb6dffda1623e3ba6922ad7b4014531a4c7765b7dbbb19fbd561b19eecfb",
+    "verify-m9": "854cda244da3778615bbe1c1559e233949f26bb3897450b695e41d4a713a5400",
+    "verify-all": "460bed21f751628509467869b5c869b354d7150ee6eee58910c682a77df043eb",
+    "verify-all-json": "91007ba4d33551785079ab39ee78f5ed7c865c2ab852d174a3c679671e5631a8",
+    "braid": "5ff2c3baa8986da9a2a2ef15654b8a63c9e7add57245616bcf9d0d348b08aac5",
+    "braid-s2": "047fed2033d8bd79cbcc10706be04fe2de4c9e94175e36bf176ecd4b02a347f2",
+    "braid-dot": "d44b955803dac9a821191b806ed80c25ab0aa717fb0eb9a1c22bb7c84c0230f7",
+    "gen-complete": "d5ab1dc8b84118ca33f4cb2f2a3ed73c2dbfe61589962aae6a5cedf13dc996fc",
+    "gen-path-power": "8031a5d31088b740790fa302569d88926471d6c9469121b08ec9892087aea013",
+    "gen-cycle-power": "149a860e0a465b5602128ab0c53028d2ccaec150ec6fe240cd700f3a9ad01396",
+    "gen-patched-bipartite": "8fad76a6e930c75c5d5e2eafccddf5071da26f05eb73b52c5ed81f1e74a2b742",
+    "gen-gnp": "5771c8444927cfa4118029c19c66ee9a4f8e8fffdf29ae9c78f9c260de1e8898",
+    "density-max": "0eab0b3d56cdaa9f39e7bbef24d770b19dbb983dc6de97d9fb3b83793ed301c4",
+    "density-opt": "00d052db3019425c3779a71b130497eb70f06e05a368af29d8d1f33b68797141",
+    "density-balanced": "66d0e6d50c97413a3e02d21d3830a715442185a0956512f62c221cac3c6ebec7",
+    "density-unbalanced": "8692a24698987d025611643657772100edb438277b720a0fe417b3916be4226a",
+    "density-phi": "0d1ab16b294a8b35550169d1e36fb5ea3a820fb59f3092bed668aa9275ee0708",
+    "normalize": "43f32f8625c6df348feca10d67d4302eac8b5a93ea3e116a6c3efa1270d42866",
+}
+
+
+def golden_cli_digests(tmp_path, capsys) -> dict[str, str]:
+    paths = {}
+    for name, make in GOLDEN_CLI_INPUTS.items():
+        paths[name] = tmp_path / f"{name}.edges"
+        graphs.save_edge_list(make(), paths[name])
+    digests = {}
+    for name, argv in GOLDEN_CLI_CALLS.items():
+        argv = [str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv]
+        code, out = run_cli(capsys, *argv)
+        digests[name] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    return digests
+
+
+def test_golden_cli_transcripts(tmp_path, capsys):
+    assert golden_cli_digests(tmp_path, capsys) == GOLDEN_CLI_SHA256

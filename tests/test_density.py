@@ -290,7 +290,11 @@ def golden_density_lines() -> list[str]:
     lines = []
     for i, g in enumerate(golden_density_corpus()):
         rep = max_density_brute(g)
-        line = f"{i}: {rep.value} {rep.witness} {is_strictly_balanced(g)}"
+        balanced, violating = is_strictly_balanced(g)
+        # `verify balanced` reads strict balance off the brute witness alone
+        assert balanced == (len(rep.witness) == g.n), i
+        assert violating == (None if balanced else rep.witness), i
+        line = f"{i}: {rep.value} {rep.witness} {(balanced, violating)}"
         if g.num_edges:
             for n, p in ((100, 0.05), (10_000, 0.3)):
                 fm = first_moment_profile(g, n, p)

@@ -130,6 +130,14 @@ def test_budget_unknown_reproducible():
     assert full.verdict in (FOUND, NOT_FOUND)
 
 
+def test_budget_below_one_is_rejected():
+    g = complete_graph(7)
+    for budget in (0, -4):
+        with pytest.raises(ValueError, match="budget must be positive or None"):
+            contains_ham_power(g, 2, budget)
+    assert contains_ham_power(g, 2, budget=1).verdict == UNKNOWN  # one placement, then spent
+
+
 def test_memo_freed_on_return():
     # a finished search must leave no reference cycle holding its memo alive
     g = union(patched_bipartite(14, Fraction(1, 12)), sample_gnp(14, 0.04, 14000))

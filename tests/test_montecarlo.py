@@ -123,6 +123,12 @@ def test_config_json_wrong_shapes_name_the_field():
         (dict(d, base={"kind": "patched_bipartite", "eps": True}), "base eps must be a number"),
         (dict(d, p_grid=dict(grid, alpha=True)), "p_grid alpha must be a number"),
         (dict(d, p_grid=dict(grid, mu_list=["0", False])), "p_grid mu_list entry must be a number"),
+        # a base field that its kind does not use is an error, not silently dropped
+        (dict(d, base={"kind": "complete", "eps": "1/8"}), "base eps is used only by kind"),
+        (dict(d, base={"kind": "file", "path": "x", "eps": "1/8"}), "base eps is used only by kind"),
+        (dict(d, base={"kind": "empty", "path": "x"}), "base path is used only by kind"),
+        (dict(d, base={"kind": "patched_bipartite", "eps": "1/8", "path": "x"}),
+         "base path is used only by kind"),
     ]
     for bad, message in cases:
         with pytest.raises(ValueError, match=message):
