@@ -48,14 +48,12 @@ from .partitioned_paths import (
     PartitionedPath,
     SegmentList,
     check_edge_floor_exhaustive,
-    far_edges,
     m6_structure_check,
     m9_structure_check,
     normalize,
     same_side_edge_floor,
     same_side_edges,
     segments,
-    spanning_power_check,
 )
 from .hamsearch import FOUND, NOT_FOUND, UNKNOWN, SearchOutcome, contains_ham_power, verify_witness
 from .montecarlo import (

@@ -11,9 +11,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
-from . import braids, density, graphs, hamsearch, montecarlo, partitioned_paths, thresholds
+from . import braids, density, graphs, hamsearch, montecarlo, partitioned_paths, thresholds, verify
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -142,143 +141,34 @@ def _cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify targets: each returns (ok, detail lines, counterexample or None)
-
-
-def _verify_tables(args):
-    report = thresholds.build_tables()
-    lines = [f"table cells checked; discrepancies: {len(report.discrepancies)}"]
-    lines += [f"  {d}" for d in report.discrepancies]
-    flagged = sum(c.known_inconsistent and not c.match for c in report.cells())
-    ok = (report.ok and flagged == len(report.discrepancies)
-          and flagged == len(thresholds.KNOWN_INCONSISTENT_SUMMARY_CELLS))
-    cex = None if ok else "unexpected table mismatch"
-    return ok, lines, cex
-
-
-def _verify_regime(args):
-    rows = thresholds.braid_regime_report(2, args.m_max)
-    failing = [r.m for r in rows if not r.holds]
-    ok = all(r.holds for r in rows if r.m == 7 or r.m >= 10) and all(m < 10 for m in failing)
-    lines = [
-        f"m={r.m}: ell={r.ell}, r={r.r}, r(r+1)={r.r_capacity}, "
-        f"{'holds' if r.holds else 'fails'}"
-        for r in rows
-        if r.m <= 14 or not r.holds
-    ]
-    lines.append(f"failing m: {failing}")
-    cex = None if ok else f"regime inequality failed at m in {failing}"
-    return ok, lines, cex
-
-
-def _verify_edge_floor(args):
-    rows = partitioned_paths.check_edge_floor_exhaustive(args.m, args.lmax)
-    bad = [r for r in rows if not r.ok]
-    lines = [
-        f"L={r.L}: valid={r.num_valid}, min_edges={r.min_edges}, floor={r.floor}, "
-        f"{'ok' if r.ok else 'VIOLATED'} (minimizer {r.minimizer})"
-        for r in rows
-    ]
-    cex = None if not bad else f"floor violated at L={bad[0].L} by {bad[0].minimizer}"
-    return not bad, lines, cex
-
-
-def _verify_structure(m: int, clique_size: int, check, args):
-    """Run `check` on every valid labeling of the m-path, L <= lmax, that has
-    no same-side clique of clique_size; stop at the first failure."""
-    pp = partitioned_paths
-    labelings = (
-        pp.PartitionedPath(m, pp.mask_to_labels(mask, L))
-        for L in range(2, args.lmax + 1)
-        for mask in pp.iter_valid_label_masks(L, m)
-    )
-    checked = 0
-    bad = None
-    for p in labelings:
-        if not pp.clique_free(p, clique_size):
-            continue
-        checked += 1
-        if not check(p).ok:
-            bad = p.labels
-            break
-    lines = [f"checked {checked} clique-free valid labelings up to L={args.lmax}"]
-    return bad is None, lines, None if bad is None else f"structure check failed on {bad}"
-
-
-def _verify_tail_margins(args):
-    lines = []
-    bad = None
-    count = 0
-    for r in range(1, args.ell_max):
-        for ell in range(r + 2, min(args.ell_max, r * (r + 1) - 1) + 1):
-            for t in range(2, args.t_max + 1):
-                rep = density.verify_truncation_margins(ell, r, t)
-                count += 1
-                if not rep.ok and bad is None:
-                    bad = f"(ell={ell}, r={r}, t={t})"
-    lines.append(f"checked {count} parameter triples, all margins positive" if bad is None
-                 else f"checked {count} parameter triples")
-    return bad is None, lines, None if bad is None else f"non-positive margin at {bad}"
-
-
-def _verify_balanced(args):
-    lines = []
-    bad = None
-    for ell in range(2, args.ell_max + 1):
-        for r in range(1, ell + 1):
-            for t in range(2, args.t_max + 1):
-                if t * ell > 15:
-                    continue
-                g = braids.braid(ell, r, t)
-                rep = density.max_density_brute(g)
-                braid_regime = ell < r * (r + 1)
-                if braid_regime:
-                    # strictly balanced iff the brute witness is the whole vertex set
-                    ok = rep.value == density.braid_density(ell, r, t) and len(rep.witness) == g.n
-                else:
-                    ok = rep.value == Fraction(ell, 2)
-                if not ok and bad is None:
-                    bad = f"(ell={ell}, r={r}, t={t}): max density {rep.value}"
-                lines.append(
-                    f"ell={ell} r={r} t={t}: max={rep.value} "
-                    f"{'braid' if braid_regime else 'clique'} regime"
-                )
-    return bad is None, lines, bad
-
-
 _VERIFY_TARGETS = {
-    "tables": _verify_tables,
-    "regime": _verify_regime,
-    "edge-floor": _verify_edge_floor,
-    # structure targets: (power m, forbidden same-side clique size, check)
-    "m6": partial(_verify_structure, 6, 5, partitioned_paths.m6_structure_check),
-    "m9": partial(_verify_structure, 9, 7, partitioned_paths.m9_structure_check),
-    "tail-margins": _verify_tail_margins,
-    "balanced": _verify_balanced,
+    "tables": lambda a: verify.tables(),
+    "regime": lambda a: verify.regime(a.m_max),
+    "edge-floor": lambda a: verify.edge_floor(a.m, a.lmax),
+    "m6": lambda a: verify.structure(6, a.lmax),
+    "m9": lambda a: verify.structure(9, a.lmax),
+    "tail-margins": lambda a: verify.tail_margins(a.ell_max, a.t_max),
+    "balanced": lambda a: verify.balanced(a.ell_max, a.t_max),
 }
 
 
 def _cmd_verify(args) -> int:
     targets = list(_VERIFY_TARGETS) if args.target == "all" else [args.target]
-    overall_ok = True
-    payload = {}
-    for name in targets:
-        ok, lines, cex = _VERIFY_TARGETS[name](args)
-        overall_ok &= ok
-        payload[name] = {"ok": ok, "counterexample": cex}
-        if args.format == "json":
-            continue
-        print(f"[{name}] {'PASS' if ok else 'FAIL'}")
-        if args.verbose or not ok:
-            for ln in lines:
-                print(f"  {ln}")
-        if cex:
-            print(f"  counterexample: {cex}")
+    # every target runs before anything is printed, so one that raises
+    # (an empty range) leaves no partial report
+    checks = {name: _VERIFY_TARGETS[name](args) for name in targets}
+    overall_ok = all(c.ok for c in checks.values())
     if args.format == "json":
-        payload["ok"] = overall_ok
-        print(json.dumps(payload))
+        payload = {name: {"ok": c.ok, "counterexample": c.counterexample} for name, c in checks.items()}
+        print(json.dumps({**payload, "ok": overall_ok}))
     else:
+        for name, c in checks.items():
+            print(f"[{name}] {'PASS' if c.ok else 'FAIL'}")
+            if args.verbose or not c.ok:
+                for ln in c.lines:
+                    print(f"  {ln}")
+            if c.counterexample:
+                print(f"  counterexample: {c.counterexample}")
         print(f"verify: {'all checks passed' if overall_ok else 'FAILURES above'}")
     return EXIT_OK if overall_ok else EXIT_COUNTEREXAMPLE
 
@@ -381,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a Monte Carlo sweep from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     return ap

@@ -225,8 +225,6 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n < 2 or p == 0.0:
-        return Graph(n)
     return coupled_gnp(n, pair_uniforms(n, seed))(p)
 
 

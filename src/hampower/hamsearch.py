@@ -66,6 +66,8 @@ class SearchOutcome:
 
 def verify_witness(g: Graph, m: int, order) -> bool:
     """True iff every pair at cyclic distance <= m in `order` is an edge of g."""
+    if m < 1:
+        raise ValueError(f"power must be >= 1, got {m}")
     n = g.n
     order = tuple(order)
     if sorted(order) != list(range(n)):
@@ -212,6 +214,8 @@ def brute_force_contains(g: Graph, m: int) -> bool:
     """
     from itertools import permutations
 
+    if m < 1:
+        raise ValueError(f"power must be >= 1, got {m}")
     n = g.n
     if n < m + 2:
         raise ValueError(f"property needs n >= m + 2, got n={n}, m={m}")

@@ -8,8 +8,7 @@ containment hit at p' guarantees one at p and the per-trial found curve is
 monotone by construction.  Coupling changes no marginal distribution.
 
 Results are assembled keyed by (p index, trial index), so the output is
-byte-identical for a fixed config regardless of the worker count (set via
-the `workers` argument or the HAMPOWER_WORKERS environment variable).
+byte-identical for a fixed config regardless of the `workers` count.
 Unknown outcomes (spent search budget) are first-class and never folded
 into either verdict.
 """
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -325,36 +323,31 @@ def _worker(args):
     return _run_trial(*args)
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("HAMPOWER_WORKERS", "1"))
-    return max(1, workers)
-
-
-def _trial_results(config: ExperimentConfig, workers: int | None) -> dict[int, list]:
+def _trial_results(config: ExperimentConfig, workers: int) -> dict[int, list]:
     """Trial index -> [(verdict, random-part clique count) per grid point]."""
     ps = config.probabilities()
     base = config.base.build(config.n)
-    nworkers = resolve_workers(workers)
 
     tasks = [
         (base, config.n, config.m, ps, config.seed, config.budget, t)
         for t in range(config.trials)
     ]
     per_trial: dict[int, list] = {}
-    if nworkers == 1:
+    if workers == 1:
         for task in tasks:
             t, data = _worker(task)
             per_trial[t] = data
     else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for t, data in pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * nworkers))):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for t, data in pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))):
                 per_trial[t] = data
     return per_trial
 
 
-def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResult:
+def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run the sweep; output is independent of the worker count."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     start = time.monotonic()
     ps = config.probabilities()
     per_trial = _trial_results(config, workers)
@@ -402,6 +395,8 @@ def clique_stats(n: int, p: float, m: int, trials: int, seed: int) -> CliqueStat
     analytic first-moment value."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     from math import comb
 
     total = 0

@@ -21,7 +21,7 @@ the optimal limiting braid density for power m.  The exhaustive checker
 verifies that floor directly against every valid labeling at small lengths;
 it and same_side_edge_count share one bitmask edge counter.
 
-Also here: t-far edge counters and the structural checks used for the
+Also here: a t-far edge counter and the structural checks used for the
 powers m = 6 (clique-number 4 labelings) and m = 9 (clique-number 6).  Both
 run one core (precondition, spanning k-th powers, the t <= k far-edge
 identity, each side's positions computed once) and add only their own facts.
@@ -399,36 +399,9 @@ def check_edge_floor_exhaustive(m: int, L_max: int) -> list[EdgeFloorRow]:
 # t-far edges and the structural checks for powers 6 and 9
 
 
-def far_pair_count(path: PartitionedPath, side: str, t: int) -> int:
-    """Number of t-far same-side pairs: exactly t-1 same-side vertices between."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return max(0, len(path.positions(side)) - t)
-
-
 def _far_edge_count(pos: list[int], t: int, m: int) -> int:
     """t-far pairs among the sorted positions `pos` that lie within distance m."""
     return sum(1 for a, b in zip(pos, pos[t:]) if b - a <= m)
-
-
-def far_edges(path: PartitionedPath, side: str, t: int) -> int:
-    """Number of t-far same-side pairs that are also edges (path distance <= m)."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return _far_edge_count(path.positions(side), t, path.m)
-
-
-def spanning_power_check(path: PartitionedPath, side: str, k: int) -> bool:
-    """True iff every t-far pair on the side with t <= k is an edge of the path.
-
-    Equivalently, the side induces the k-th power of a path as a spanning
-    subgraph.
-    """
-    pos = path.positions(side)
-    for t in range(1, min(k, len(pos) - 1) + 1):
-        if any(b - a > path.m for a, b in zip(pos, pos[t:])):
-            return False
-    return True
 
 
 def window_side_counts(path: PartitionedPath, width: int) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from hampower import verify
 from hampower.braids import braid
 from hampower.density import (
     braid_density,
@@ -17,22 +18,16 @@ from hampower.density import (
     max_density_brute,
     max_density_opt,
     truncation_margin_low,
-    verify_truncation_margins,
 )
 from hampower.graphs import cycle_power, path_power, sample_gnp
 from hampower.hamsearch import FOUND, NOT_FOUND, brute_force_contains, contains_ham_power
 from hampower.montecarlo import BaseGraphSpec, ExperimentConfig, result_to_csv, run_sweep
 from hampower.partitioned_paths import (
     PartitionedPath,
-    check_edge_floor_exhaustive,
-    clique_free,
     iter_valid_label_masks,
-    m6_structure_check,
-    m9_structure_check,
     mask_to_labels,
     normalize,
     normalized_edge_closed_form,
-    same_side_edge_floor,
 )
 from hampower.thresholds import (
     braid_density_limit,
@@ -106,10 +101,10 @@ def test_criterion_02_optimal_ell_convention():
 
 def test_criterion_03_regime_inequality():
     with Timer(1.0, "3 regime inequality m<=200"):
-        rows = braid_regime_report(2, 200)
-        failing = [r.m for r in rows if not r.holds]
+        check = verify.regime(200)
+        assert check.ok and check.checked == 199
+        failing = [r.m for r in braid_regime_report(2, 200) if not r.holds]
         assert failing == [2, 3, 4, 5, 6, 8, 9]
-        assert all(r.holds for r in rows if r.m == 7 or r.m >= 10)
 
 
 def test_criterion_04_braid_densities(braid_brute_reports):
@@ -135,13 +130,8 @@ def test_criterion_05_oracle_equivalence(braid_brute_reports):
 
 def test_criterion_06_truncation_margins():
     with Timer(10.0, "6 truncation margins"):
-        count = 0
-        for r in range(1, 11):
-            for ell in range(r + 2, min(12, r * (r + 1) - 1) + 1):
-                for t in range(2, 7):
-                    assert verify_truncation_margins(ell, r, t).ok, (ell, r, t)
-                    count += 1
-        assert count > 100
+        check = verify.tail_margins(12, 6)
+        assert check.ok and check.checked == 185, check.counterexample
         for r in range(2, 4):
             ell = r * (r + 1)
             if ell <= 12:
@@ -151,12 +141,9 @@ def test_criterion_06_truncation_margins():
 
 def test_criterion_07_edge_floor_exhaustive():
     with Timer(600.0, "7 edge floor exhaustive"):
-        for m, lmax in ((2, 14), (3, 16), (4, 14)):
-            rows = check_edge_floor_exhaustive(m, lmax)
-            assert all(r.ok for r in rows), (m, [r.L for r in rows if not r.ok])
-            for r in rows:
-                if r.min_edges is not None:
-                    assert r.min_edges >= same_side_edge_floor(m, r.L)
+        for m, lmax, labelings in ((2, 14, 3190), (3, 16, 46496), (4, 14, 23006)):
+            check = verify.edge_floor(m, lmax)
+            assert check.ok and check.checked == labelings, (m, check.counterexample)
 
 
 def test_criterion_08_normalization_contract():
@@ -191,27 +178,10 @@ def test_criterion_08_normalization_contract():
 
 def test_criterion_09_structure_suites():
     with Timer(1200.0, "9 structure suites m=6 and m=9"):
-        for L in range(2, 19):
-            for mask in iter_valid_label_masks(L, 6):
-                p = PartitionedPath(6, mask_to_labels(mask, L))
-                if not clique_free(p, 5):
-                    continue
-                rep = m6_structure_check(p)
-                assert rep.ok, p.labels
-                assert 4 * rep.far3_edges >= L - 6, p.labels
-                if L >= 7:
-                    assert rep.far12_edges == 2 * L - 6, p.labels
-        for L in range(2, 17):
-            for mask in iter_valid_label_masks(L, 9):
-                p = PartitionedPath(9, mask_to_labels(mask, L))
-                if not clique_free(p, 7):
-                    continue
-                rep = m9_structure_check(p)
-                assert rep.ok, p.labels
-                assert rep.L - 8 - rep.w <= 4 * rep.z, p.labels
-                assert 2 * (rep.w + rep.z) >= rep.L - 10, p.labels
-                if L >= 10:
-                    assert rep.far123_edges == 3 * L - 12, p.labels
+        # passing also shows far12 = 2L - 6 and far123 = 3L - 12: see verify.structure
+        for m, lmax, labelings in ((6, 18, 24432), (9, 16, 45584)):
+            check = verify.structure(m, lmax)
+            assert check.ok and check.checked == labelings, (m, check.counterexample)
 
 
 def test_criterion_10_search_correctness():

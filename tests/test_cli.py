@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hampower import braids, graphs
-from hampower.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_OK, main
+from hampower.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +160,17 @@ def test_verify_all_smoke(capsys):
     assert "all checks passed" in out
 
 
+@pytest.mark.parametrize("argv", ["edge-floor --lmax 0", "m6 --lmax 1", "m9 --lmax 1", "tail-margins --ell-max 2",
+                                  "balanced --t-max 1", "all --t-max 1 --format json"])
+def test_verify_empty_range_is_usage_error(capsys, argv):
+    # a target that checks nothing must not report PASS; `all` stops at tail-margins
+    code = main(["verify", *argv.split()])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    target = "tail-margins" if argv.startswith("all") else argv.split()[0]
+    assert captured.err.startswith(f"error: verify {target}:")
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     cfg = {
         "n": 8,
@@ -177,6 +188,14 @@ def test_sweep_subcommand(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("0,0,1,0,")  # p=0: everything not_found
+
+
+def test_sweep_workers_below_one_is_usage_error(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", str(tmp_path / "o.csv")
+    cfg.write_text('{"n": 8, "m": 2, "base": {"kind": "empty"}, "p_grid": [0.5], "trials": 1, "seed": 0}')
+    for workers in ("0", "-3"):
+        assert main(["sweep", "--config", str(cfg), "--out", out, "--workers", workers]) == EXIT_USAGE
+        assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_structure_counts(capsys):

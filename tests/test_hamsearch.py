@@ -77,6 +77,14 @@ def test_verify_witness():
         verify_witness(g, 2, [0] * 9)
 
 
+def test_power_below_one_is_rejected():
+    for m in (0, -2):  # with no pair to check, m < 1 used to pass on any graph
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            verify_witness(Graph(5), m, range(5))
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            brute_force_contains(Graph(5), m)
+
+
 def test_matches_brute_force_on_random_corpus():
     rng = random.Random(424242)
     for i in range(120):

@@ -255,6 +255,14 @@ def test_clique_stats_endpoints():
     assert st.empirical_mean == math.comb(12, 3) == st.first_moment
 
 
+def test_counts_below_one_are_rejected():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_sweep(small_config(trials=2), workers=workers)
+    with pytest.raises(ValueError, match="trials must be >= 1"):  # was a ZeroDivisionError
+        clique_stats(12, 0.5, 2, 0, 3)
+
+
 def test_clique_stats_near_threshold():
     # n = 60, m = 2, p = n^(-2 - 1/10): triangles are rare and the empirical
     # mean sits within five Poisson-scale sigmas of the first moment

@@ -13,8 +13,6 @@ from hampower.partitioned_paths import (
     SegmentList,
     check_edge_floor_exhaustive,
     clique_free,
-    far_edges,
-    far_pair_count,
     iter_valid_label_masks,
     m6_structure_check,
     m9_structure_check,
@@ -25,7 +23,6 @@ from hampower.partitioned_paths import (
     same_side_edge_floor,
     same_side_edges,
     segments,
-    spanning_power_check,
     window_side_counts,
 )
 from hampower.thresholds import braid_density_limit, optimal_ell
@@ -200,23 +197,20 @@ def test_check_edge_floor_exhaustive_small():
 
 
 def test_far_counts():
-    m = 4
-    assert far_edges(PartitionedPath(m, "A" * m), "A", 1) == m - 1
-    assert far_edges(PartitionedPath(2, "ABAB"), "A", 1) == 1
-    assert far_pair_count(PartitionedPath(2, "ABAB"), "A", 1) == 1
-    assert far_pair_count(PartitionedPath(2, "ABAB"), "A", 3) == 0
-    with pytest.raises(ValueError):
-        far_edges(PartitionedPath(2, "AB"), "A", 0)
+    # a side of s vertices has s - t t-far pairs, all edges when L <= m + 1
+    rep = m6_structure_check(PartitionedPath(6, "AAAA"))
+    assert rep.far12_edges == rep.far12_expected == 3 + 2
+    rep = m9_structure_check(PartitionedPath(9, "AAAAAA"))
+    assert rep.far123_edges == rep.far123_expected == 5 + 4 + 3
+    rep = m9_structure_check(PartitionedPath(9, "ABAB"))  # one 1-far pair per side
+    assert rep.far123_edges == rep.far123_expected == 2
 
 
 def test_spanning_power_check():
-    p = PartitionedPath(6, "AAAABBB" * 2)
-    assert spanning_power_check(p, "A", 2)
-    assert spanning_power_check(p, "B", 2)
-    assert spanning_power_check(PartitionedPath(6, "A" * 6), "A", 6)
-    # far A-pair separated by a long B-run is not an edge
-    q = PartitionedPath(3, "ABBBA")
-    assert not spanning_power_check(q, "A", 1)
+    rep = m6_structure_check(PartitionedPath(6, "AAAABBB" * 2))
+    assert rep.spans_ok and rep.far12_edges == rep.far12_expected == 2 * 14 - 6
+    assert m9_structure_check(PartitionedPath(9, "AAAAAA")).spans_ok
+    assert m9_structure_check(PartitionedPath(9, "AAAAAABBBBBB")).spans_ok
 
 
 def test_window_side_counts_and_clique_free():
