@@ -10,12 +10,12 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from hampower.hamsearch import FOUND
 from hampower.montecarlo import (
     BaseGraphSpec,
     ExperimentConfig,
     clique_stats,
     emit_csv,
-    per_trial_found_curves,
     result_to_csv,
     run_sweep,
 )
@@ -43,7 +43,7 @@ fracs = [row.found / config.trials for row in result.rows]
 print("\nfound-fraction curve:", " ".join(f"{f:.2f}" for f in fracs))
 print("exactly nondecreasing:", all(a <= b for a, b in zip(fracs, fracs[1:])))
 
-curves = per_trial_found_curves(config)
+curves = [[v == FOUND for v in verdicts] for verdicts in result.verdicts]
 print("every per-trial curve is a monotone step:",
       all(c == sorted(c) for c in curves))
 

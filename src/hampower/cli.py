@@ -51,13 +51,13 @@ def _cmd_gen(args) -> int:
 def _cmd_density(args) -> int:
     g = graphs.load_edge_list(args.input)
     if args.balanced:
-        ok, witness = density.is_strictly_balanced(g, cap=args.cap)
+        ok, witness = density.is_strictly_balanced(g)
         payload = {"balanced": ok, "witness": None if witness is None else list(witness)}
         print(json.dumps(payload))
         return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
     if args.phi:
         n, p = int(args.phi[0]), float(args.phi[1])
-        rep = density.first_moment_profile(g, n, p, cap=args.cap)
+        rep = density.first_moment_profile(g, n, p)
         payload = {
             "log_whole": rep.log_whole,
             "log_min": rep.log_min,
@@ -69,7 +69,7 @@ def _cmd_density(args) -> int:
     if args.opt:
         rep = density.max_density_opt(g)
     else:
-        rep = density.max_density_brute(g, cap=args.cap)
+        rep = density.max_density_brute(g)
     print(json.dumps(rep.to_json_dict()))
     return EXIT_OK
 
@@ -92,7 +92,7 @@ def _tables_payload(m_max: int) -> dict:
     return {
         "exponents": [
             {"m": r.m, "ell": r.ell, "density_at_ell": str(r.density_at_ell), "alpha": str(r.alpha),
-             "exponent_of_n": str(-1 / r.alpha), "regime": r.regime}
+             "exponent_of_n": str(thresholds.threshold_exponent_of_n(r.m)), "regime": r.regime}
             for r in records
         ],
         "cells": cells,
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balanced", action="store_true", help="strict-balance check")
     p.add_argument("--phi", nargs=2, metavar=("N", "P"),
                    help="first-moment profile at scale N and probability P")
-    p.add_argument("--cap", type=int, default=density.DEFAULT_BRUTE_CAP)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("threshold-table", help="threshold exponents and reference tables")

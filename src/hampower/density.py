@@ -37,10 +37,10 @@ from .thresholds import braid_density_limit
 
 
 class CapExceeded(ValueError):
-    """A brute-force scan was asked to exceed its configured vertex cap."""
+    """A brute-force scan was asked to exceed BRUTE_CAP vertices."""
 
 
-DEFAULT_BRUTE_CAP = 20
+BRUTE_CAP = 20  # largest graph the 2^n subset scans accept
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _gray_subsets(g: Graph):
         yield mask, size, edges
 
 
-def _brute_densest(g: Graph, cap: int, what: str):
+def _brute_densest(g: Graph, what: str):
     """Scan every vertex subset of size >= 2; returns (edges, size, mask,
     whole_wins): the densest subset, and whether it is the whole vertex set,
     that is, whether the whole set is strictly denser than every proper one.
@@ -111,8 +111,8 @@ def _brute_densest(g: Graph, cap: int, what: str):
     """
     if g.n < 2:
         raise ValueError(f"{what} needs at least 2 vertices")
-    if g.n > cap:
-        raise CapExceeded(f"brute force capped at {cap} vertices, graph has {g.n}")
+    if g.n > BRUTE_CAP:
+        raise CapExceeded(f"brute force capped at {BRUTE_CAP} vertices, graph has {g.n}")
     full = (1 << g.n) - 1
     best_e, best_size, best_mask = -1, 2, 0  # density -1: every subset beats it
     for mask, size, edges in _gray_subsets(g):
@@ -132,7 +132,7 @@ def _brute_densest(g: Graph, cap: int, what: str):
     return best_e, best_size, best_mask, False
 
 
-def max_density_brute(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> DensityReport:
+def max_density_brute(g: Graph) -> DensityReport:
     """Exact maximum 1-density over induced subgraphs with >= 2 vertices.
 
     Induced subgraphs suffice: deleting edges from a fixed vertex set never
@@ -140,11 +140,11 @@ def max_density_brute(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> DensityReport:
     lexicographic, so the witness is the whole vertex set exactly when g is
     strictly balanced.
     """
-    e, size, mask, _ = _brute_densest(g, cap, "max density")
+    e, size, mask, _ = _brute_densest(g, "max density")
     return DensityReport(Fraction(e, size - 1), _mask_vertices(mask), "brute")
 
 
-def is_strictly_balanced(g: Graph, cap: int = DEFAULT_BRUTE_CAP):
+def is_strictly_balanced(g: Graph):
     """True iff every proper vertex subset of size >= 2 induces strictly
     smaller 1-density than the whole graph.
 
@@ -152,7 +152,7 @@ def is_strictly_balanced(g: Graph, cap: int = DEFAULT_BRUTE_CAP):
     subsets suffice.  Returns (verdict, violating_subset_or_None); the
     violating subset is the densest proper one.
     """
-    _, _, mask, balanced = _brute_densest(g, cap, "strict balance")
+    _, _, mask, balanced = _brute_densest(g, "strict balance")
     return (True, None) if balanced else (False, _mask_vertices(mask))
 
 
@@ -329,8 +329,7 @@ class FirstMomentReport:
     min_profile: tuple[int, int]     # (v, e) of the minimizing subgraph
 
 
-def first_moment_profile(g: Graph, n: int, p: float,
-                         cap: int = DEFAULT_BRUTE_CAP) -> FirstMomentReport:
+def first_moment_profile(g: Graph, n: int, p: float) -> FirstMomentReport:
     """Log of n^v p^e for the whole graph and its minimum over subgraphs.
 
     The expected-copy-count scale n^v p^e depends only on the (v, e) profile,
@@ -342,8 +341,8 @@ def first_moment_profile(g: Graph, n: int, p: float,
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
     if n < 2:
         raise ValueError(f"scale n must be >= 2, got {n}")
-    if g.n > cap:
-        raise CapExceeded(f"profile scan capped at {cap} vertices, graph has {g.n}")
+    if g.n > BRUTE_CAP:
+        raise CapExceeded(f"profile scan capped at {BRUTE_CAP} vertices, graph has {g.n}")
     if g.num_edges == 0:
         raise ValueError("minimization over subgraphs with >= 1 edge needs an edge")
 

@@ -7,10 +7,13 @@ trials: the edge set at p is a superset of the edge set at any p' < p, so a
 containment hit at p' guarantees one at p and the per-trial found curve is
 monotone by construction.  Coupling changes no marginal distribution.
 
-Results are assembled keyed by (p index, trial index), so the output is
-byte-identical for a fixed config regardless of the `workers` count.
-Unknown outcomes (spent search budget) are first-class and never folded
-into either verdict.
+`run_sweep` is the one way to run trials.  It returns the per-trial
+verdicts (`SweepResult.verdicts`, indexed [trial][grid point]) next to the
+aggregated rows, both assembled in trial order, so the output is
+byte-identical for a fixed config regardless of the `workers` count.  At
+most `trials` worker processes are started, and one worker runs in this
+process.  Unknown outcomes (spent search budget) are first-class and never
+folded into either verdict.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 
 from .graphs import (
     Graph,
@@ -259,11 +263,12 @@ class SweepResult:
     config: ExperimentConfig
     rows: list[SweepRow]
     wall_time: float
+    verdicts: tuple[tuple[str, ...], ...]  # [trial][grid point], in p_grid order
 
 
-def _run_trial(base: Graph, n: int, m: int, ps: tuple[float, ...], seed: int,
-               budget: int | None, t: int):
-    """All grid points for one trial, sharing one uniform array (the coupling).
+def _run_trial(config: ExperimentConfig, base: Graph, t: int) -> list[tuple[str, int]]:
+    """(verdict, random-part clique count) at each grid point of trial t, all
+    sharing one uniform array (the coupling).
 
     Because the per-trial graphs are nested along the grid, the verdict curve
     is a monotone step (up to Unknowns), so the transition is located by
@@ -275,7 +280,8 @@ def _run_trial(base: Graph, n: int, m: int, ps: tuple[float, ...], seed: int,
     """
     from .hamsearch import verify_witness
 
-    gnp = coupled_gnp(n, pair_uniforms(n, trial_seed(seed, t)))
+    m, budget, ps = config.m, config.budget, config.probabilities()
+    gnp = coupled_gnp(config.n, pair_uniforms(config.n, trial_seed(config.seed, t)))
     k = len(ps)
     by_p = sorted(range(k), key=lambda i: (ps[i], i))
 
@@ -287,93 +293,62 @@ def _run_trial(base: Graph, n: int, m: int, ps: tuple[float, ...], seed: int,
             graphs[gi] = union(base, random_parts[gi])
         return graphs[gi]
 
-    probes: dict[int, object] = {}  # position in by_p -> SearchOutcome
+    # Bisection moves up past every NotFound probe and down past every Found
+    # one, so the last of each is the highest NotFound and the lowest Found.
+    verdicts: list[str | None] = [None] * k
+    refuted_below, found_above, witness = -1, k, None  # positions in by_p
     lo, hi = 0, k - 1
     while lo <= hi:
         mid = (lo + hi) // 2
         out = contains_ham_power(graph_at(by_p[mid]), m, budget)
-        probes[mid] = out
+        verdicts[by_p[mid]] = out.verdict
         if out.verdict == FOUND:
+            found_above, witness = mid, out.witness
             hi = mid - 1
         else:
+            if out.verdict == NOT_FOUND:
+                refuted_below = mid
             lo = mid + 1
 
-    found_positions = sorted(pos for pos, o in probes.items() if o.verdict == FOUND)
-    notfound_positions = sorted(pos for pos, o in probes.items() if o.verdict == NOT_FOUND)
-
-    verdicts: list[str | None] = [None] * k
     for pos in range(k):
         gi = by_p[pos]
-        if pos in probes:
-            verdicts[gi] = probes[pos].verdict
-        elif notfound_positions and pos < notfound_positions[-1]:
+        if verdicts[gi] is not None:
+            continue
+        if pos < refuted_below:
             verdicts[gi] = NOT_FOUND  # subgraph of an exhaustively refuted graph
-        elif found_positions and pos > found_positions[0]:
-            witness = probes[found_positions[0]].witness
+        elif pos > found_above:
             if not verify_witness(graph_at(gi), m, witness):
                 raise AssertionError("coupled witness failed to verify on a supergraph")
             verdicts[gi] = FOUND
         else:
             verdicts[gi] = contains_ham_power(graph_at(gi), m, budget).verdict
 
-    return t, [(verdicts[gi], count_cliques(random_parts[gi], m + 1)) for gi in range(k)]
-
-
-def _worker(args):
-    return _run_trial(*args)
-
-
-def _trial_results(config: ExperimentConfig, workers: int) -> dict[int, list]:
-    """Trial index -> [(verdict, random-part clique count) per grid point]."""
-    ps = config.probabilities()
-    base = config.base.build(config.n)
-
-    tasks = [
-        (base, config.n, config.m, ps, config.seed, config.budget, t)
-        for t in range(config.trials)
-    ]
-    per_trial: dict[int, list] = {}
-    if workers == 1:
-        for task in tasks:
-            t, data = _worker(task)
-            per_trial[t] = data
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for t, data in pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))):
-                per_trial[t] = data
-    return per_trial
+    return [(verdicts[gi], count_cliques(random_parts[gi], m + 1)) for gi in range(k)]
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Run the sweep; output is independent of the worker count."""
+    """Run the sweep; output is independent of the worker count.  At most
+    one worker per trial is started, and one worker runs in this process."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     start = time.monotonic()
-    ps = config.probabilities()
-    per_trial = _trial_results(config, workers)
+    workers = min(workers, config.trials)
+    trial = partial(_run_trial, config, config.base.build(config.n))
+    if workers == 1:
+        per_trial = [trial(t) for t in range(config.trials)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, config.trials // (4 * workers))
+            per_trial = list(pool.map(trial, range(config.trials), chunksize=chunksize))
 
+    verdicts = tuple(tuple(v for v, _ in data) for data in per_trial)
     rows = []
-    for ip, p in enumerate(ps):
-        found = not_found = unknown = 0
-        clique_total = 0
-        for t in range(config.trials):  # fixed fold order for bitwise determinism
-            verdict, cliques = per_trial[t][ip]
-            if verdict == FOUND:
-                found += 1
-            elif verdict == NOT_FOUND:
-                not_found += 1
-            elif verdict == UNKNOWN:
-                unknown += 1
-            clique_total += cliques
-        rows.append(SweepRow(p, found, not_found, unknown, clique_total / config.trials))
-    return SweepResult(config, rows, time.monotonic() - start)
-
-
-def per_trial_found_curves(config: ExperimentConfig) -> list[list[bool]]:
-    """Found verdict per (trial, grid point); used to assert the coupling
-    monotonicity exactly rather than statistically.  Runs in this process."""
-    per_trial = _trial_results(config, workers=1)
-    return [[verdict == FOUND for verdict, _ in per_trial[t]] for t in range(config.trials)]
+    for ip, p in enumerate(config.probabilities()):
+        column = [trial_verdicts[ip] for trial_verdicts in verdicts]
+        clique_total = sum(data[ip][1] for data in per_trial)
+        rows.append(SweepRow(p, column.count(FOUND), column.count(NOT_FOUND),
+                             column.count(UNKNOWN), clique_total / config.trials))
+    return SweepResult(config, rows, time.monotonic() - start, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +415,3 @@ def result_to_csv(result: SweepResult) -> str:
 def emit_csv(result: SweepResult, path) -> None:
     with open(path, "w", encoding="ascii") as f:
         f.write(result_to_csv(result))
-
-
-def parse_csv(text: str) -> list[dict]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or malformed header row")
-    names = CSV_HEADER.split(",")
-    return [dict(zip(names, map(float, ln.split(",")))) for ln in lines[1:]]

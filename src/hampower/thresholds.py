@@ -49,19 +49,17 @@ def braid_density_limit_alt(m: int, ell: int) -> Fraction:
     return ell + Fraction(m * m + m, 2 * ell) - m - 1
 
 
-def optimal_ell_sq(m: int) -> Fraction:
-    """Square of the real minimizer of braid_density_limit(m, .): m*(m+1)/2."""
+def optimal_ell_sq(m: int) -> int:
+    """Square of the real minimizer of braid_density_limit(m, .): m*(m+1)/2,
+    an integer because m(m+1) is even."""
     if m < 2:
         raise ValueError(f"power must be >= 2, got m={m}")
-    return Fraction(m * (m + 1), 2)
+    return m * (m + 1) // 2
 
 
 def optimal_ell_floor_ceil(m: int) -> tuple[int, int]:
     """Exact floor and ceil of sqrt(m*(m+1)/2), no floating point."""
-    sq = optimal_ell_sq(m)
-    if sq.denominator != 1:  # m(m+1) is always even
-        raise AssertionError(f"m(m+1)/2 = {sq} is not an integer")
-    s = sq.numerator
+    s = optimal_ell_sq(m)
     fl = isqrt(s)
     ce = fl if fl * fl == s else fl + 1
     return fl, ce
@@ -80,7 +78,7 @@ class ThresholdRecord:
     """Everything threshold-related for one power m."""
 
     m: int
-    lambda_sq: Fraction          # square of the real minimizer
+    lambda_sq: int               # square of the real minimizer
     ell: int                     # optimal integer clique size
     density_at_ell: Fraction     # braid_density_limit(m, ell)
     alpha: Fraction              # threshold ~ n^(-1/alpha)
@@ -279,7 +277,7 @@ def build_tables(m_max: int = 10) -> TablesReport:
         fl, ce = optimal_ell_floor_ceil(m)
         ell = optimal_ell(m)
         computed = (
-            int(optimal_ell_sq(m)), fl, ce, braid_density_limit(m, fl), braid_density_limit(m, ce),
+            optimal_ell_sq(m), fl, ce, braid_density_limit(m, fl), braid_density_limit(m, ce),
             ell, m - ell, (m - ell) * (m - ell + 1),
         )
         columns = ("lambda_sq", "floor", "ceil", "density_at_floor", "density_at_ceil",

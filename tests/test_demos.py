@@ -1,6 +1,6 @@
 """The sub-second demos run to completion.
 
-`threshold_sweep.py` is left out: it takes about 20 s, and criterion 11
+`threshold_sweep.py` is left out: it takes about 10 s, and criterion 11
 already runs the sweep path it shows.
 """
 

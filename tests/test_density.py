@@ -81,8 +81,8 @@ def test_max_density_brute_matches_naive():
 
 
 def test_max_density_brute_cap():
-    with pytest.raises(CapExceeded):
-        max_density_brute(Graph(25), cap=20)
+    with pytest.raises(CapExceeded, match="capped at 20 vertices, graph has 25"):
+        max_density_brute(Graph(25))
 
 
 def test_max_density_opt_fixed():

@@ -2,11 +2,14 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hampower import hamsearch, montecarlo
 from hampower.graphs import sample_gnp
+from hampower.hamsearch import FOUND, NOT_FOUND, UNKNOWN
 from hampower.montecarlo import (
     BaseGraphSpec,
     CSV_HEADER,
@@ -14,8 +17,6 @@ from hampower.montecarlo import (
     ExponentGrid,
     clique_stats,
     emit_csv,
-    parse_csv,
-    per_trial_found_curves,
     result_to_csv,
     run_sweep,
     trial_seed,
@@ -214,10 +215,18 @@ def test_per_trial_found_curves_monotone():
         trials=6,
         seed=5,
     )
-    for curve in per_trial_found_curves(cfg):
+    res = run_sweep(cfg)
+    assert len(res.verdicts) == cfg.trials
+    for verdicts in res.verdicts:
+        curve = [v == FOUND for v in verdicts]
         assert curve == sorted(curve)  # False before True, never back
         assert curve[-1]  # found at p = 1
         assert not curve[0]  # base alone lacks the structure
+        assert UNKNOWN not in verdicts  # no budget
+    # the rows are the verdicts counted per grid point
+    for ip, row in enumerate(res.rows):
+        column = [verdicts[ip] for verdicts in res.verdicts]
+        assert (row.found, row.not_found) == (column.count(FOUND), column.count(NOT_FOUND))
 
 
 def test_sweep_deterministic_across_worker_counts():
@@ -234,13 +243,61 @@ def test_csv_round_trip(tmp_path):
     emit_csv(res, out)
     text = out.read_text()
     assert text.splitlines()[0] == CSV_HEADER
-    rows = parse_csv(text)
-    assert len(rows) == len(res.rows)
-    for parsed, row in zip(rows, res.rows):
-        assert parsed["p"] == pytest.approx(row.p)
-        assert parsed["found_frac"] == pytest.approx(row.found / cfg.trials)
-    # emitting the parsed numbers again is byte-stable
+    assert len(text.splitlines()) == 1 + len(res.rows)
+    # a second run writes the same bytes
     assert result_to_csv(run_sweep(cfg)) == text
+
+
+def test_pool_bounded_by_trial_count(monkeypatch):
+    # a sweep never asks for more processes than it has trials
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    cfg = small_config(trials=3)
+    res = run_sweep(cfg, workers=64)
+    assert seen == [3]
+    assert result_to_csv(res) == result_to_csv(run_sweep(cfg, workers=1))
+
+
+def test_sweep_calls_the_module_globals(monkeypatch):
+    # The benchmark times and traces a sweep by rebinding these module
+    # globals, so each one must exist and be called through its name.  The
+    # config is test_sweep_csv_pinned's: it has transferred Found cells.
+    cfg = ExperimentConfig(n=12, m=2, base=BaseGraphSpec("patched_bipartite", eps=Fraction(1, 8)),
+                           p_grid=(0.0, 0.2, 0.35, 0.5, 0.75, 1.0), trials=8, seed=424242)
+    expected = result_to_csv(run_sweep(cfg))
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(montecarlo, "pair_uniforms"), (montecarlo, "contains_ham_power"),
+                         (montecarlo, "union"), (montecarlo, "count_cliques"),
+                         (hamsearch, "verify_witness")]:
+        counting(module, name)
+    assert result_to_csv(run_sweep(cfg, workers=1)) == expected
+    assert calls["pair_uniforms"] == cfg.trials
+    assert calls["count_cliques"] == cfg.trials * len(cfg.p_grid)
+    assert calls["contains_ham_power"] and calls["union"] and calls["verify_witness"]
 
 
 def test_csv_header_only_for_empty_grid():

@@ -244,17 +244,6 @@ def test_m6_structure_precondition_violations():
         m6_structure_check(PartitionedPath(5, "AAB"))
 
 
-def test_m6_structure_exhaustive_sample():
-    for L in (7, 10, 13):
-        for mask in iter_valid_label_masks(L, 6):
-            p = PartitionedPath(6, mask_to_labels(mask, L))
-            if not clique_free(p, 5):
-                continue
-            rep = m6_structure_check(p)
-            assert rep.ok, p.labels
-            assert rep.identity_2l6, p.labels  # sides forced nondegenerate at L >= 7
-
-
 def test_m9_structure_blocks():
     p = PartitionedPath(9, ("AAAAA" + "BBBBB") * 3)
     rep = m9_structure_check(p)
@@ -272,17 +261,6 @@ def test_m9_structure_z_zero_forces_many_w():
         rep = m9_structure_check(p)
         if rep.z == 0:
             assert rep.w >= rep.L - 8
-
-
-def test_m9_structure_exhaustive_sample():
-    for L in (10, 12):
-        for mask in iter_valid_label_masks(L, 9):
-            p = PartitionedPath(9, mask_to_labels(mask, L))
-            if not clique_free(p, 7):
-                continue
-            rep = m9_structure_check(p)
-            assert rep.ok, p.labels
-            assert rep.identity_3l12, p.labels
 
 
 # Golden reports of the m=6 and m=9 checks: every valid labeling with
