@@ -10,6 +10,7 @@ from .graphs import (
     Graph,
     complete_graph,
     count_cliques,
+    count_new_cliques,
     cycle_power,
     induced_subgraph,
     load_edge_list,

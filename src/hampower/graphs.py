@@ -7,6 +7,11 @@ search, unions of graphs) are word-parallel ANDs and ORs.  The edge set is
 derived from the rows on first use.  Random graphs are thresholded straight
 into rows through numpy bit packing, with no edge list in between.  Graphs
 are immutable after construction and safe to share across workers.
+
+Cliques are counted either from scratch (`count_cliques`) or, for a graph
+that only adds edges to another, as the cliques through the added edges
+(`count_new_cliques`); the coupled sweep counts each trial's first graph
+the first way and every larger one the second.
 """
 
 from __future__ import annotations
@@ -239,41 +244,75 @@ def union(g: Graph, h: Graph) -> Graph:
 # Subgraph machinery
 
 
-def count_cliques(g: Graph, s: int) -> int:
-    """Exact number of s-vertex cliques, by pruned recursion on neighborhood masks.
+def _cliques_in(adj, cand: int, need: int) -> int:
+    """Number of need-vertex cliques inside the vertex mask cand.
 
     Vertices are extended in ascending index order, so every clique is counted
     once; candidate sets shrink via bitmask intersection.  The last two levels
     are one flat loop: a candidate v closes (rest & adj[v]).bit_count()
     cliques with the candidates above it.
     """
+    total = 0
+    rest = cand
+    if need == 2:
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            total += (rest & adj[bit.bit_length() - 1]).bit_count()
+        return total
+    if need < 2:
+        return 1 if need == 0 else cand.bit_count()
+    if cand.bit_count() < need:
+        return 0
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        total += _cliques_in(adj, rest & adj[bit.bit_length() - 1], need - 1)
+    return total
+
+
+def count_cliques(g: Graph, s: int) -> int:
+    """Exact number of s-vertex cliques, by pruned recursion on neighborhood masks."""
     if s < 1:
         raise ValueError("clique size must be >= 1")
     if s == 1:
         return g.n
     if s > g.n:
         return 0
-    adj = g.adj
+    return _cliques_in(g.adj, (1 << g.n) - 1, s)
 
-    def extend(cand: int, need: int) -> int:
-        # need >= 2
-        total = 0
-        rest = cand
-        if need == 2:
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                total += (rest & adj[bit.bit_length() - 1]).bit_count()
-            return total
-        if cand.bit_count() < need:
-            return 0
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            total += extend(rest & adj[bit.bit_length() - 1], need - 1)
-        return total
 
-    return extend((1 << g.n) - 1, s)
+def count_new_cliques(old: Graph, new: Graph, s: int) -> int:
+    """Number of s-vertex cliques of `new` that are not cliques of `old`.
+
+    `old` must be a subgraph of `new` on the same vertices, and then this
+    equals count_cliques(new, s) - count_cliques(old, s).  The edges `new`
+    adds are inserted one at a time into a copy of `old`'s rows; edge uv
+    closes exactly the cliques of the current graph that contain u and v,
+    that is the (s-2)-cliques among their common neighbors.  Each new clique
+    is counted once, when its last edge goes in, so the cost follows the
+    cliques through new edges rather than all of `new`'s cliques.
+    """
+    if old.n != new.n:
+        raise ValueError(f"vertex counts differ: {old.n} vs {new.n}")
+    if s < 1:
+        raise ValueError("clique size must be >= 1")
+    if any(a & ~b for a, b in zip(old.adj, new.adj)):
+        raise ValueError("old graph has an edge the new graph lacks")
+    if s == 1:
+        return 0
+    cur = list(old.adj)
+    total = 0
+    for u, row in enumerate(new.adj):
+        added = (row & ~cur[u]) >> (u + 1) << (u + 1)  # new edges uv with v > u
+        while added:
+            bit = added & -added
+            added ^= bit
+            v = bit.bit_length() - 1
+            total += _cliques_in(cur, cur[u] & cur[v], s - 2)
+            cur[u] |= bit
+            cur[v] |= 1 << u
+    return total
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

@@ -31,6 +31,7 @@ from .graphs import (
     Graph,
     complete_graph,
     count_cliques,
+    count_new_cliques,
     coupled_gnp,
     load_edge_list,
     pair_uniforms,
@@ -177,6 +178,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.n < self.m + 2:
             raise ValueError(f"need n >= m + 2, got n={self.n}, m={self.m}")
         for p in self.probabilities():
@@ -277,6 +280,11 @@ def _run_trial(config: ExperimentConfig, base: Graph, t: int) -> list[tuple[str,
     on every larger p (the graph there is a supergraph).  Unknown probes
     transfer nothing; any grid point left unresolved by them is searched
     individually.
+
+    The nesting also serves the K_{m+1} counts: the random part at the
+    lowest p is counted once with `count_cliques`, and each higher grid point
+    (in increasing p) adds the cliques through the edges it gains over the
+    one before, so a repeated p adds 0.
     """
     from .hamsearch import verify_witness
 
@@ -285,7 +293,7 @@ def _run_trial(config: ExperimentConfig, base: Graph, t: int) -> list[tuple[str,
     k = len(ps)
     by_p = sorted(range(k), key=lambda i: (ps[i], i))
 
-    random_parts = [gnp(p) for p in ps]  # each one's cliques are counted below
+    random_parts = [gnp(p) for p in ps]
     graphs: list[Graph | None] = [None] * k
 
     def graph_at(gi: int) -> Graph:
@@ -323,7 +331,14 @@ def _run_trial(config: ExperimentConfig, base: Graph, t: int) -> list[tuple[str,
         else:
             verdicts[gi] = contains_ham_power(graph_at(gi), m, budget).verdict
 
-    return [(verdicts[gi], count_cliques(random_parts[gi], m + 1)) for gi in range(k)]
+    cliques = [0] * k
+    for pos, gi in enumerate(by_p):
+        if pos == 0:
+            cliques[gi] = count_cliques(random_parts[gi], m + 1)
+        else:
+            below = by_p[pos - 1]
+            cliques[gi] = cliques[below] + count_new_cliques(random_parts[below], random_parts[gi], m + 1)
+    return list(zip(verdicts, cliques))
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:

@@ -248,7 +248,9 @@ def test_malformed_sweep_config_is_usage_error(tmp_path, capsys):
      "config p_grid entry must be a number"),
     ({"n": 8, "m": 2, "base": {"kind": "complete", "eps": "1/8", "path": "x"}, "p_grid": [0.5],
       "trials": 1, "seed": 0}, "base eps is used only by kind 'patched_bipartite'"),
-], ids=["top-level-number", "scalar-p_grid", "string-base", "boolean-p_grid-entry", "unused-base-fields"])
+    ({"n": 8, "m": 0, "base": {"kind": "empty"}, "p_grid": [], "trials": 1, "seed": 0}, "m must be >= 1"),
+], ids=["top-level-number", "scalar-p_grid", "string-base", "boolean-p_grid-entry", "unused-base-fields",
+        "m-below-one"])
 def test_wrong_shape_sweep_config_is_usage_error(tmp_path, capsys, cfg, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

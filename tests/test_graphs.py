@@ -14,12 +14,15 @@ from hampower.graphs import (
     Graph,
     complete_graph,
     count_cliques,
+    count_new_cliques,
+    coupled_gnp,
     cycle_power,
     eps_patch_size,
     induced_edge_count,
     induced_subgraph,
     parse_edge_list,
     patched_bipartite,
+    pair_uniforms,
     path_power,
     sample_gnp,
     to_dot,
@@ -283,6 +286,28 @@ def test_count_cliques_naive_agreement_to_12():
         g = sample_gnp(n, 0.45, 5000 + n)
         for s in (3, 4, 5):
             assert count_cliques(g, s) == naive_clique_count(g, s)
+
+
+def test_count_new_cliques_is_the_difference_of_counts():
+    # nested pairs old <= new from one coupled family, including old == new,
+    # an empty old (p = 0) and a complete new (p = 1)
+    for n in range(31):
+        gnp = coupled_gnp(n, pair_uniforms(n, 700 + n))
+        for a, b in ((0.0, 0.0), (0.4, 0.4), (0.0, 0.35), (0.2, 0.5), (0.5, 1.0), (0.0, 1.0)):
+            old, new = gnp(a), gnp(b)
+            for s in range(1, 7):
+                expected = count_cliques(new, s) - count_cliques(old, s)
+                assert count_new_cliques(old, new, s) == expected, (n, a, b, s)
+
+
+def test_count_new_cliques_rejects_bad_input():
+    small, big = sample_gnp(10, 0.3, 1), sample_gnp(10, 0.6, 1)
+    with pytest.raises(ValueError, match="vertex counts differ"):
+        count_new_cliques(Graph(9), big, 3)
+    with pytest.raises(ValueError, match="clique size"):
+        count_new_cliques(small, big, 0)
+    with pytest.raises(ValueError, match="edge the new graph lacks"):
+        count_new_cliques(big, small, 3)
 
 
 def test_induced_subgraph():

@@ -49,6 +49,15 @@ def test_config_validation():
         BaseGraphSpec("patched_bipartite")  # missing eps
 
 
+def test_config_rejects_power_below_one():
+    # the sweep used to accept these and fail at its first search
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            small_config(m=m)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            small_config(m=m, p_grid=())
+
+
 def test_config_json_round_trip():
     cfg = small_config(
         base=BaseGraphSpec("patched_bipartite", eps=Fraction(1, 12)),
@@ -195,16 +204,25 @@ def test_sweep_row_conservation_and_cliques():
 
 
 def test_sweep_matches_direct_sampling():
-    """The trial graphs are exactly base union sample_gnp(n, p, trial_seed)."""
-    cfg = small_config(trials=3, p_grid=(0.4,))
-    res = run_sweep(cfg)
+    """The trial graphs are exactly base union sample_gnp(n, p, trial_seed),
+    and each row's clique mean is the mean of their direct counts."""
     from hampower.graphs import count_cliques
 
-    total = 0
-    for t in range(cfg.trials):
-        g = sample_gnp(cfg.n, 0.4, trial_seed(cfg.seed, t))
-        total += count_cliques(g, cfg.m + 1)
-    assert res.rows[0].mean_cliques == total / cfg.trials
+    configs = [
+        small_config(trials=3, p_grid=(0.4,)),
+        # unsorted grids with a repeated p, 0 and 1: the counts are carried
+        # up the grid in increasing p, so every step and a zero step occur
+        small_config(m=2, n=11, trials=4, p_grid=(0.6, 0.0, 0.35, 1.0, 0.35, 0.15)),
+        small_config(m=3, n=12, trials=3, seed=7, p_grid=(1.0, 0.5, 0.0, 0.8, 0.5, 0.65)),
+        small_config(m=2, n=14, trials=3, seed=3,
+                     p_grid=ExponentGrid(Fraction(1, 2), (Fraction(1, 4), Fraction(0), Fraction(1, 8)))),
+    ]
+    for cfg in configs:
+        res = run_sweep(cfg)
+        for row, p in zip(res.rows, cfg.probabilities(), strict=True):
+            total = sum(count_cliques(sample_gnp(cfg.n, p, trial_seed(cfg.seed, t)), cfg.m + 1)
+                        for t in range(cfg.trials))
+            assert row.p == p and row.mean_cliques == total / cfg.trials, (cfg, p)
 
 
 def test_per_trial_found_curves_monotone():
@@ -296,7 +314,7 @@ def test_sweep_calls_the_module_globals(monkeypatch):
         counting(module, name)
     assert result_to_csv(run_sweep(cfg, workers=1)) == expected
     assert calls["pair_uniforms"] == cfg.trials
-    assert calls["count_cliques"] == cfg.trials * len(cfg.p_grid)
+    assert calls["count_cliques"] == cfg.trials  # once per trial; higher p count only new cliques
     assert calls["contains_ham_power"] and calls["union"] and calls["verify_witness"]
 
 
