@@ -1,11 +1,12 @@
 """Exact 1-density machinery.
 
 The 1-density of a graph is e/(v - 1).  Everything here is exact rational.
-One Gray-code walk over the vertex subsets (`_gray_subsets`, an incremental
-induced edge count) serves every brute-force scan: the maximizer and the
-strict-balance check read the same result (the densest proper subset against
-the whole graph), and the first-moment profile applies its own objective to
-the same walk.  The optimized maximizer runs Dinkelbach iteration
+One table of every vertex subset's induced edge count and size
+(`_subset_table`, numpy arrays indexed by the subset's bitmask) serves every
+brute-force scan.  The scans read it by (size, edges) pair: the maximizer and
+the strict-balance check read the same result (the densest proper subset
+against the whole graph), and the first-moment profile applies its own
+objective to each pair.  The optimized maximizer runs Dinkelbach iteration
 where each candidate ratio is tested by minimum cuts on the edge-selection
 network, one cut per anchor vertex in increasing order (the anchor forces a
 nonempty subset).  The cut for anchor v only needs the vertices v..n-1: a
@@ -30,6 +31,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 from .braids import braid_edge_count, check_braid_params
 from .graphs import Graph, induced_edge_count
@@ -73,29 +76,35 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _gray_subsets(g: Graph):
-    """Every nonempty vertex subset once, as (mask, size, induced edges).
+def _subset_table(g: Graph):
+    """Every vertex subset's induced edge count and size, as two arrays
+    indexed by the subset's bitmask (the empty set included).
 
-    The walk follows the binary reflected Gray code, so each subset differs
-    from the previous one by a single vertex and the induced edge count is
-    updated with one popcount.
+    Built by doubling: the subsets holding vertex v as their highest vertex
+    are those below 2^v plus v, which gains one edge per neighbour in them.
     """
-    adj = g.adj
-    mask = 0
-    size = 0
-    edges = 0
-    for i in range(1, 1 << g.n):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        if mask & bit:
-            mask ^= bit
-            edges -= (adj[v] & mask).bit_count()
-            size -= 1
-        else:
-            edges += (adj[v] & mask).bit_count()
-            mask |= bit
-            size += 1
-        yield mask, size, edges
+    idx = np.arange(1 << g.n, dtype=np.uint32)
+    edges = np.zeros(1 << g.n, np.int16)
+    sizes = np.zeros(1 << g.n, np.uint8)
+    for v, row in enumerate(g.adj):
+        h = 1 << v
+        edges[h : 2 * h] = edges[:h] + np.bitwise_count(idx[:h] & row)
+        sizes[h : 2 * h] = sizes[:h] + 1
+    return edges, sizes
+
+
+def _subset_pairs(edges, sizes) -> list[list[int]]:
+    """The distinct (size, edges) pairs of a subset table, in increasing order."""
+    present = np.zeros((int(sizes[-1]) + 1, int(edges.max()) + 1), bool)  # sizes[-1]: the full set
+    present[sizes, edges] = True
+    return np.argwhere(present).tolist()
+
+
+def _first_mask(edges, sizes, size: int, count: int) -> int:
+    """The mask with the lexicographically smallest vertex tuple among the
+    subsets of `size` vertices inducing `count` edges."""
+    masks = np.flatnonzero((sizes == size) & (edges == count)).tolist()
+    return min(masks, key=_mask_vertices)
 
 
 def _brute_densest(g: Graph, what: str):
@@ -105,6 +114,9 @@ def _brute_densest(g: Graph, what: str):
 
     "Densest" is highest density, then fewest vertices, then lexicographically
     smallest vertex tuple; comparisons are exact integer cross-multiplications.
+    Subsets of one size and edge count tie, so the scan compares the distinct
+    (size, edges) pairs, fewest vertices first, and only then picks the
+    smallest vertex tuple of the winning pair.
     The whole vertex set has the most vertices, so it loses every tie: it is
     compared once, after the proper subsets, and wins only when strictly
     denser.
@@ -113,23 +125,15 @@ def _brute_densest(g: Graph, what: str):
         raise ValueError(f"{what} needs at least 2 vertices")
     if g.n > BRUTE_CAP:
         raise CapExceeded(f"brute force capped at {BRUTE_CAP} vertices, graph has {g.n}")
-    full = (1 << g.n) - 1
-    best_e, best_size, best_mask = -1, 2, 0  # density -1: every subset beats it
-    for mask, size, edges in _gray_subsets(g):
-        if size < 2 or mask == full:
-            continue
-        lhs = edges * (best_size - 1)
-        rhs = best_e * (size - 1)
-        if lhs > rhs or (lhs == rhs and (
-            size < best_size
-            or (size == best_size and _mask_vertices(mask) < _mask_vertices(best_mask))
-        )):
-            best_e, best_size, best_mask = edges, size, mask
-    # best_mask == 0 when n == 2: there is no proper subset of size >= 2
-    whole_wins = best_mask == 0 or g.num_edges * (best_size - 1) > best_e * (g.n - 1)
-    if whole_wins:
-        return g.num_edges, g.n, full, True
-    return best_e, best_size, best_mask, False
+    edges, sizes = _subset_table(g)
+    best_e, best_size = -1, 2  # density -1: every subset beats it
+    for size, e in _subset_pairs(edges, sizes):
+        if 2 <= size < g.n and e * (best_size - 1) > best_e * (size - 1):
+            best_e, best_size = e, size
+    # best_e == -1 when n == 2: there is no proper subset of size >= 2
+    if best_e < 0 or g.num_edges * (best_size - 1) > best_e * (g.n - 1):
+        return g.num_edges, g.n, (1 << g.n) - 1, True
+    return best_e, best_size, _first_mask(edges, sizes, best_size, best_e), False
 
 
 def max_density_brute(g: Graph) -> DensityReport:
@@ -350,16 +354,14 @@ def first_moment_profile(g: Graph, n: int, p: float) -> FirstMomentReport:
     ln_p = math.log(p)
     log_whole = g.n * ln_n + g.num_edges * ln_p
 
-    best_key = (math.inf, 0, 0)  # (log value, size, edges)
-    best_mask = 0
-    for mask, size, edges in _gray_subsets(g):
-        if edges < 1:
-            continue
-        key = (size * ln_n + edges * ln_p, size, edges)
-        if key < best_key or (key == best_key and _mask_vertices(mask) < _mask_vertices(best_mask)):
-            best_key, best_mask = key, mask
-    val, size, edges = best_key
-    return FirstMomentReport(log_whole, val, _mask_vertices(best_mask), (size, edges))
+    edges, sizes = _subset_table(g)
+    # the key depends on the (size, edges) pair only, and distinct pairs
+    # have distinct keys
+    val, size, count = min(
+        (size * ln_n + e * ln_p, size, e) for size, e in _subset_pairs(edges, sizes) if e >= 1
+    )
+    return FirstMomentReport(log_whole, val, _mask_vertices(_first_mask(edges, sizes, size, count)),
+                             (size, count))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,12 @@ that normal form the same-side edge count has the closed form
 
 which is bounded below by same_side_edge_floor(m, L) = d*L - 2m^2 where d is
 the optimal limiting braid density for power m.  The exhaustive checker
-verifies that floor directly against every valid labeling at small lengths;
-it and same_side_edge_count share one bitmask edge counter.
+verifies that floor directly against every valid labeling at small lengths.
+It works on int64 numpy tables of label masks (bit i set iff position i is
+B), a chunk of 2^12 consecutive masks at a time: the run test filters a
+chunk to its valid masks, and each mask's same-side edges are popcounts of
+the same shifted-XOR agreement terms that same_side_edge_count applies to
+one mask.  Masks hold at most 62 labels, far beyond what enumeration reaches.
 
 Also here: a t-far edge counter and the structural checks used for the
 powers m = 6 (clique-number 4 labelings) and m = 9 (clique-number 6).  Both
@@ -33,12 +37,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from .thresholds import braid_density_limit, optimal_ell
 
 SIDE_A = "A"
 SIDE_B = "B"
 _OTHER = {SIDE_A: SIDE_B, SIDE_B: SIDE_A}
 _LABEL_BITS = str.maketrans(SIDE_A + SIDE_B, "01")  # bit i of a label mask: position i is B
+_BIT_LABELS = str.maketrans("01", SIDE_A + SIDE_B)
+_NOT_A_SIDE = str.maketrans("", "", SIDE_A + SIDE_B)  # deletes both sides, keeps strays
 
 
 class BudgetExceeded(RuntimeError):
@@ -55,9 +63,9 @@ class PartitionedPath:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"power must be >= 1, got {self.m}")
-        bad = set(self.labels) - {SIDE_A, SIDE_B}
-        if bad:
-            raise ValueError(f"labels must be A/B strings, found {sorted(bad)}")
+        stray = self.labels.translate(_NOT_A_SIDE)
+        if stray:
+            raise ValueError(f"labels must be A/B strings, found {sorted(set(stray))}")
 
     @property
     def L(self) -> int:
@@ -132,10 +140,14 @@ def segments(path: PartitionedPath) -> SegmentList:
 # Same-side edge counting
 
 
+def _label_mask(labels: str) -> int:
+    """The label mask of a labeling: bit i is set iff position i is B."""
+    return int("0" + labels[::-1].translate(_LABEL_BITS), 2)  # "0": labels may be empty
+
+
 def same_side_edge_count(path: PartitionedPath) -> int:
     """Number of pairs at path distance <= m with equal labels (fast bit count)."""
-    x = int("0" + path.labels[::-1].translate(_LABEL_BITS), 2)  # "0": L may be 0
-    return _mask_edge_count(x, path.L, path.m)
+    return sum(a.bit_count() for a in _agreements(_label_mask(path.labels), path.L, path.m))
 
 
 def same_side_edges(path: PartitionedPath) -> tuple[int, list[tuple[int, int]]]:
@@ -335,52 +347,74 @@ class EdgeFloorRow:
     minimizer: str | None
 
 
-def _has_run(x: int, k: int) -> bool:
-    r = x
-    for _ in range(k - 1):
-        r &= r >> 1
-    return r != 0
+_MAX_MASK_LENGTH = 62  # int64 chunks: 2^L and every mask must fit
+_CHUNK = 1 << 12
+
+
+def _check_mask_length(L: int) -> None:
+    if not 0 <= L <= _MAX_MASK_LENGTH:
+        raise ValueError(f"label masks hold 0..{_MAX_MASK_LENGTH} positions, got L={L}")
+
+
+def _agreements(x, L: int, m: int):
+    """For each distance d = 1..min(m, L-1), the bits i of mask(s) x whose
+    positions i and i + d carry equal labels; a Python int or an int64 array."""
+    return (~(x ^ (x >> d)) & ((1 << (L - d)) - 1) for d in range(1, min(m, L - 1) + 1))
+
+
+def _valid_mask_chunks(L: int, m: int):
+    """The valid label masks of length L (no m+1 consecutive equal bits), in
+    ascending order, as int64 arrays holding one chunk's survivors each."""
+    full = (1 << L) - 1
+    for lo in range(0, 1 << L, _CHUNK):
+        x = np.arange(lo, min(lo + _CHUNK, 1 << L), dtype=np.int64)
+        # after m steps, bit i of ones (zeros) is set iff bits i..i+m of x are all 1 (0)
+        ones, zeros = x, ~x & full
+        for _ in range(m):
+            ones = ones & (ones >> 1)
+            zeros = zeros & (zeros >> 1)
+        yield x[(ones | zeros) == 0]
 
 
 def iter_valid_label_masks(L: int, m: int):
-    """All side-label bitmasks of length L with no m+1 consecutive equal bits."""
-    full = (1 << L) - 1
-    for x in range(1 << L):
-        if not _has_run(x, m + 1) and not _has_run(~x & full, m + 1):
-            yield x
-
-
-def _mask_edge_count(x: int, L: int, m: int) -> int:
-    """Same-side edges of the labeling whose bit i is set iff position i is B."""
-    total = 0
-    for d in range(1, min(m, L - 1) + 1):
-        agree = ~(x ^ (x >> d)) & ((1 << (L - d)) - 1)
-        total += agree.bit_count()
-    return total
+    """All side-label bitmasks of length L with no m+1 consecutive equal bits,
+    as Python ints in ascending order.  L must lie in 0..62."""
+    _check_mask_length(L)
+    return (x for chunk in _valid_mask_chunks(L, m) for x in chunk.tolist())
 
 
 def mask_to_labels(x: int, L: int) -> str:
-    return "".join(SIDE_B if (x >> i) & 1 else SIDE_A for i in range(L))
+    """The labeling of the low L bits of x (bit i set: position i is B)."""
+    full = (1 << L) - 1
+    # the sentinel bit L fixes the digit count at L + 1 (L may be 0)
+    return format((x & full) | (full + 1), "b")[:0:-1].translate(_BIT_LABELS)
 
 
 def check_edge_floor_exhaustive(m: int, L_max: int) -> list[EdgeFloorRow]:
     """For every valid labeling of every length L <= L_max, verify that the
     same-side edge count meets same_side_edge_floor(m, L); reports the
-    minimizing labeling per L (first in mask order among ties)."""
+    minimizing labeling per L (first in mask order among ties).  L_max must
+    lie in 0..62."""
     if m < 2:
         raise ValueError(f"power must be >= 2, got {m}")
+    _check_mask_length(L_max)
     rows = []
     for L in range(1, L_max + 1):
         floor = same_side_edge_floor(m, L)
         best = None
         best_mask = None
         count = 0
-        for x in iter_valid_label_masks(L, m):
-            count += 1
-            e = _mask_edge_count(x, L, m)
-            if best is None or e < best:
-                best = e
-                best_mask = x
+        for x in _valid_mask_chunks(L, m):
+            if not len(x):
+                continue
+            count += len(x)
+            edges = np.zeros(len(x), np.int16)  # at most C(62, 2) same-side edges
+            for agree in _agreements(x, L, m):
+                edges += np.bitwise_count(agree)
+            i = int(edges.argmin())  # the first minimum in mask order
+            if best is None or edges[i] < best:
+                best = int(edges[i])
+                best_mask = int(x[i])
         ok = best is None or best >= floor
         rows.append(
             EdgeFloorRow(
@@ -406,12 +440,12 @@ def _far_edge_count(pos: list[int], t: int, m: int) -> int:
 
 def window_side_counts(path: PartitionedPath, width: int) -> list[tuple[int, int]]:
     """(count_A, count_B) for every window of `width` consecutive positions."""
+    x = _label_mask(path.labels)
+    window = (1 << width) - 1
     counts = []
-    labels = path.labels
     for i in range(path.L - width + 1):
-        w = labels[i : i + width]
-        a = w.count(SIDE_A)
-        counts.append((a, width - a))
+        b = (x >> i & window).bit_count()
+        counts.append((width - b, b))
     return counts
 
 

@@ -256,6 +256,98 @@ def test_truncation_margins_against_subgraph_densities():
         assert one_density(sub) < d
 
 
+# Reference oracle: the Gray-code walk that the subset table replaced, with
+# the per-subset comparisons of the brute scans and the first-moment profile.
+
+
+def reference_gray_subsets(g: Graph):
+    """Every nonempty vertex subset once, as (mask, size, induced edges)."""
+    mask = size = edges = 0
+    for i in range(1, 1 << g.n):
+        v = (i & -i).bit_length() - 1
+        bit = 1 << v
+        if mask & bit:
+            mask ^= bit
+            edges -= (g.adj[v] & mask).bit_count()
+            size -= 1
+        else:
+            edges += (g.adj[v] & mask).bit_count()
+            mask |= bit
+            size += 1
+        yield mask, size, edges
+
+
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def reference_scans(g: Graph, scales) -> tuple:
+    """One walk: (max density, witness, strictly balanced) by density, then
+    fewest vertices, then lexicographically smallest, the whole set losing
+    ties; and for each (n, p) in `scales` the first-moment (log_min,
+    min_vertices, min_profile), in the same float arithmetic."""
+    full = (1 << g.n) - 1
+    best_e, best_size, best_mask = -1, 2, 0
+    logs = [(math.log(n), math.log(p)) for n, p in scales]
+    keys = [(math.inf, 0, 0)] * len(scales)
+    key_masks = [0] * len(scales)
+    for mask, size, edges in reference_gray_subsets(g):
+        if edges >= 1:
+            for i, (ln_n, ln_p) in enumerate(logs):
+                key = (size * ln_n + edges * ln_p, size, edges)
+                if key < keys[i] or (key == keys[i] and mask_vertices(mask) < mask_vertices(key_masks[i])):
+                    keys[i], key_masks[i] = key, mask
+        if size < 2 or mask == full:
+            continue
+        lhs, rhs = edges * (best_size - 1), best_e * (size - 1)
+        if lhs > rhs or (lhs == rhs and (size < best_size or (
+                size == best_size and mask_vertices(mask) < mask_vertices(best_mask)))):
+            best_e, best_size, best_mask = edges, size, mask
+    profiles = [(key[0], mask_vertices(mask), key[1:]) for key, mask in zip(keys, key_masks)]
+    if best_mask == 0 or g.num_edges * (best_size - 1) > best_e * (g.n - 1):
+        return Fraction(g.num_edges, g.n - 1), tuple(range(g.n)), True, profiles
+    return Fraction(best_e, best_size - 1), mask_vertices(best_mask), False, profiles
+
+
+# Scales with equal float keys: at p = 1 - 2^-53, |ln p| is below half an ulp
+# of the size term, so the edge counts of one size share a key value; at
+# (64, 1/64), ln p = -ln n, so sizes and edge counts trade off exactly.
+FIRST_MOMENT_SCALES = ((2, 0.5), (100, 0.05), (10_000, 0.3), (50, 1 - 2**-53), (64, 1 / 64), (7, 1e-9))
+
+
+def assert_scans_match_reference(g: Graph) -> None:
+    value, witness, balanced, profiles = reference_scans(g, FIRST_MOMENT_SCALES if g.num_edges else ())
+    rep = max_density_brute(g)
+    assert (rep.value, rep.witness) == (value, witness)
+    assert is_strictly_balanced(g) == ((True, None) if balanced else (False, witness))
+    for (n, p), want in zip(FIRST_MOMENT_SCALES, profiles):
+        fm = first_moment_profile(g, n, p)
+        assert (fm.log_min, fm.min_vertices, fm.min_profile) == want
+
+
+def test_brute_scans_match_reference_on_braid_grid():
+    # the criterion-4 braid grid up to 16 vertices
+    for ell in range(2, 8):
+        for r in range(1, ell + 1):
+            for t in range(2, 5):
+                if t * ell <= 16:
+                    assert_scans_match_reference(braid(ell, r, t))
+
+
+def test_brute_scans_match_reference_on_gnp():
+    for n in range(2, 15):
+        for p in (0.0, 0.15, 0.4, 0.7, 1.0):
+            for seed in range(2):
+                assert_scans_match_reference(sample_gnp(n, p, 15000 + 100 * n + seed))
+    assert_scans_match_reference(disjoint_cliques(3, 3, 2, 3))
+
+
+def test_brute_scans_match_reference_at_the_cap():
+    g = sample_gnp(20, 0.25, 15020)
+    assert max_density_brute(g).witness != tuple(range(20))  # a proper subset wins
+    assert_scans_match_reference(g)
+
+
 # Golden values: the exact (value, witness) of max_density_brute, the
 # strict-balance verdict and two first-moment profiles on a seeded corpus,
 # digested.  Ties are common here (equal densities of different sizes, and

@@ -9,6 +9,7 @@ import pytest
 
 from hampower.partitioned_paths import (
     BudgetExceeded,
+    EdgeFloorRow,
     PartitionedPath,
     SegmentList,
     check_edge_floor_exhaustive,
@@ -51,6 +52,8 @@ def test_segment_list_round_trip():
 
 
 def test_validity():
+    with pytest.raises(ValueError, match=r"labels must be A/B strings, found \[' ', 'C', 'x'\]"):
+        PartitionedPath(2, "ABxC A")
     assert PartitionedPath(3, "AAABBB").is_valid()
     assert not PartitionedPath(3, "AAAAB").is_valid()
     assert PartitionedPath(2, "").is_valid()
@@ -184,6 +187,96 @@ def test_closed_form_matches_direct_enumeration():
         seg = normalize(p).segments
         direct = same_side_edge_count(seg.to_path(m))
         assert normalized_edge_closed_form(seg, m) == direct
+
+
+# Reference oracles: the per-mask loops that the numpy chunk scans replaced.
+
+
+def reference_has_run(x: int, k: int) -> bool:
+    r = x
+    for _ in range(k - 1):
+        r &= r >> 1
+    return r != 0
+
+
+def reference_valid_masks(L: int, m: int) -> list[int]:
+    full = (1 << L) - 1
+    return [x for x in range(1 << L)
+            if not reference_has_run(x, m + 1) and not reference_has_run(~x & full, m + 1)]
+
+
+def reference_mask_to_labels(x: int, L: int) -> str:
+    return "".join("B" if (x >> i) & 1 else "A" for i in range(L))
+
+
+def reference_mask_edge_count(x: int, L: int, m: int) -> int:
+    total = 0
+    for d in range(1, min(m, L - 1) + 1):
+        agree = ~(x ^ (x >> d)) & ((1 << (L - d)) - 1)
+        total += agree.bit_count()
+    return total
+
+
+def reference_edge_floor_rows(m: int, L_max: int) -> list:
+    rows = []
+    for L in range(1, L_max + 1):
+        floor = same_side_edge_floor(m, L)
+        best = best_mask = None
+        count = 0
+        for x in reference_valid_masks(L, m):
+            count += 1
+            e = reference_mask_edge_count(x, L, m)
+            if best is None or e < best:
+                best, best_mask = e, x
+        rows.append(EdgeFloorRow(L, count, best, floor, best is None or best >= floor,
+                                 None if best_mask is None else reference_mask_to_labels(best_mask, L)))
+    return rows
+
+
+def test_valid_label_masks_match_reference():
+    for m in range(1, 8):
+        for L in range(15):
+            masks = list(iter_valid_label_masks(L, m))
+            assert masks == reference_valid_masks(L, m), (m, L)
+            assert all(type(x) is int for x in masks)
+
+
+def test_edge_floor_rows_match_reference():
+    for m in range(2, 7):
+        assert check_edge_floor_exhaustive(m, 14) == reference_edge_floor_rows(m, 14), m
+
+
+def test_label_mask_length_bounds():
+    # rejected before any mask is built: 2^63 masks could not be enumerated
+    for L in (-1, 63, 10**6):
+        with pytest.raises(ValueError, match=f"got L={L}"):
+            iter_valid_label_masks(L, 2)
+        with pytest.raises(ValueError, match=f"got L={L}"):
+            check_edge_floor_exhaustive(2, L)
+    iter_valid_label_masks(62, 2)  # accepted; the scan is lazy
+    assert check_edge_floor_exhaustive(2, 0) == []
+
+
+def test_mask_to_labels_reads_the_low_bits_of_any_int():
+    masks = list(range(-70, 300)) + [2**70 + 0b1011, -(2**70) + 5, 2**62 - 1]
+    for L in range(12):
+        for x in masks:
+            assert mask_to_labels(x, L) == reference_mask_to_labels(x, L), (x, L)
+    assert mask_to_labels(0b1101, 2) == "BA"
+    assert mask_to_labels(-1, 3) == "BBB"
+    assert mask_to_labels(-2, 3) == "ABB"
+    assert mask_to_labels(5, 0) == ""
+
+
+def test_window_side_counts_match_reference():
+    rng = random.Random(15)
+    for _ in range(300):
+        L = rng.randint(0, 70)
+        p = PartitionedPath(rng.randint(1, 9), "".join(rng.choice("AB") for _ in range(L)))
+        for width in (0, 1, rng.randint(1, L + 2), L, L + 1):
+            want = [(w.count("A"), w.count("B")) for w in
+                    (p.labels[i : i + width] for i in range(L - width + 1))]
+            assert window_side_counts(p, width) == want
 
 
 def test_check_edge_floor_exhaustive_small():
