@@ -27,7 +27,6 @@ from .braids import braid, braid_edge_count, bridge, s_braids
 from .density import (
     DensityReport,
     braid_density,
-    braid_density_gap_form,
     first_moment_profile,
     is_strictly_balanced,
     max_density_brute,
@@ -37,7 +36,6 @@ from .density import (
 )
 from .thresholds import (
     ThresholdRecord,
-    admissible_ells,
     braid_density_limit,
     braid_regime_report,
     build_tables,
@@ -53,7 +51,6 @@ from .partitioned_paths import (
     m9_structure_check,
     normalize,
     same_side_edge_floor,
-    same_side_edges,
     segments,
 )
 from .hamsearch import FOUND, NOT_FOUND, UNKNOWN, SearchOutcome, contains_ham_power, verify_witness

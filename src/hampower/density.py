@@ -34,9 +34,8 @@ from math import comb
 
 import numpy as np
 
-from .braids import braid_edge_count, check_braid_params
+from .braids import braid_edge_count
 from .graphs import Graph, induced_edge_count
-from .thresholds import braid_density_limit
 
 
 class CapExceeded(ValueError):
@@ -307,18 +306,6 @@ def max_density_opt(g: Graph) -> DensityReport:
 def braid_density(ell: int, r: int, t: int) -> Fraction:
     """1-density of B(ell, r, t): (t*C(ell,2) + (t-1)*C(r+1,2)) / (t*ell - 1)."""
     return Fraction(braid_edge_count(ell, r, t), t * ell - 1)
-
-
-def braid_density_gap_form(ell: int, r: int, t: int) -> Fraction:
-    """Equivalent form: limit density minus (ell-1)*(r*(r+1)-ell) / (2*ell*(t*ell-1)).
-
-    Strictly increasing in t exactly when ell < r*(r+1), with the limit
-    braid_density_limit(ell + r, ell).
-    """
-    check_braid_params(ell, r, t)
-    return braid_density_limit(ell + r, ell) - Fraction(
-        (ell - 1) * (r * (r + 1) - ell), 2 * ell * (t * ell - 1)
-    )
 
 
 # ---------------------------------------------------------------------------

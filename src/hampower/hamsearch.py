@@ -21,14 +21,24 @@ tractable:
     plus the reflection pivot), so exhausted states are recorded as packed
     integers and never re-explored.
 
+A parent settles each child before descending into it: a child with no
+candidate for its slot is dead, and a child whose memo key is already in the
+failure set is memoized; neither is called.  So every call is a live state,
+and the memo holds only exhausted live states (a dead state costs the parent
+one AND to recognise, less than a memo lookup).  This decides no node count:
+a node is counted when the parent places a vertex, whether or not the child
+is then called.  Only the memo cap (_MEMO_CAP stored keys) sees the
+difference, since it now counts live states alone.
+
 Each node does little besides bit operations.  Everything that depends only
 on the position (the window slots a child inherits, the head slots that wrap
 round to it, the forward check's (slot, needed) pairs) sits in tables built
 once per (n, m) and cached.  A node ANDs the rows its children share once and
-passes `keep & adj[child]` down as the child's candidate base.  The memo key
-rolls down with the search: the last m labels are shifted in one at a time,
-and the head is packed once per visit of slot m + 1.  Labels occupy fields of
-(n - 1).bit_length() bits, so keys stay injective at every n.
+hands `keep & adj[child] & unused` down as the child's candidates.  The memo
+key rolls down with the search: the last m labels are shifted in one at a
+time, and the head is packed when slot m is filled (at m = 1 the head slot is
+slot m itself).  Labels occupy fields of (n - 1).bit_length() bits, so keys
+stay injective at every n.
 
 Verdicts are exact: Found comes with a verified witness, NotFound only after
 exhausting the pruned tree, and a spent node budget yields Unknown, never a
@@ -37,6 +47,7 @@ wrong answer.  The node count is deterministic, so Unknown is reproducible.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,8 +75,21 @@ class SearchOutcome:
         }
 
 
+def _integer(name: str, value) -> int:
+    """value as an int through operator.index, so numpy integers pass; a
+    float, which would be truncated or compared as a real, and a bool, which
+    would act as 0 or 1, raise TypeError naming the parameter."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}") from None
+
+
 def verify_witness(g: Graph, m: int, order) -> bool:
     """True iff every pair at cyclic distance <= m in `order` is an edge of g."""
+    m = _integer("m", m)
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
     n = g.n
@@ -112,11 +136,15 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
 
     Requires n >= m + 2 (the property's domain).  `budget`, None or at least
     1, caps the number of vertex placements; exceeding it returns Unknown.
+    `m` and `budget` must be integers (numpy integers included, bools not).
     """
+    m = _integer("m", m)
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be positive or None")
+    if budget is not None:
+        budget = _integer("budget", budget)
+        if budget < 1:
+            raise ValueError("budget must be positive or None")
     n = g.n
     if n < m + 2:
         raise ValueError(f"property needs n >= m + 2, got n={n}, m={m}")
@@ -148,29 +176,20 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
     head = 0
     failed: set[int] = set()
 
-    def extend(pos: int, unused: int, base: int, tail: int) -> bool:
-        # base: AND of every row slot pos must meet; tail: the last m labels
+    def extend(pos: int, unused: int, cand: int, tail: int, key: int | None) -> bool:
+        # cand: the unused vertices adjacent to every vertex slot pos must
+        # meet, empty only at the root; tail: the last m labels; key: this
+        # state's memo key, None up to slot m.  The parent has ruled out a dead
+        # state (no candidate) and a memoized one, so every call is live.
         nonlocal nodes, head
-        key = None
-        if pos > m:
-            if pos == m + 1:
-                head = 0
-                for q in head_slots:
-                    head = (head << width) | order[q]
-            key = (((unused << tail_shift) | tail) << head_bits) | head
-            if key in failed:
-                return False
-
-        cand = base & unused
         if pos == last:
             cand &= -(1 << (order[1] + 1))  # reflection: last slot above the second
 
-        if cand:
-            # the last m placed must keep enough unused partners for their windows
-            for q, needed in checks[pos]:
-                if (rows[q] & unused).bit_count() < needed:
-                    cand = 0
-                    break
+        # the last m placed must keep enough unused partners for their windows
+        for q, needed in checks[pos]:
+            if (rows[q] & unused).bit_count() < needed:
+                cand = 0
+                break
 
         if cand:
             keep = full
@@ -186,14 +205,32 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
                 v = bit.bit_length() - 1
                 order[pos] = v
                 row = rows[pos] = adj[v]
-                if nxt == n or extend(nxt, unused ^ bit, keep & row, ((tail << width) | v) & tail_mask):
+                if nxt == n:
+                    return True
+                rest = unused ^ bit
+                child = keep & row & rest
+                if not child:
+                    continue  # dead: nothing can fill slot nxt
+                sub = ((tail << width) | v) & tail_mask
+                sub_key = None
+                if nxt > m:
+                    if nxt == m + 1:
+                        # packed only now: at m = 1 the head slot is order[pos] itself
+                        head = 0
+                        for q in head_slots:
+                            head = (head << width) | order[q]
+                    sub_key = (((rest << tail_shift) | sub) << head_bits) | head
+                    if sub_key in failed:
+                        continue
+                if extend(nxt, rest, child, sub, sub_key):
                     return True
         if key is not None and len(failed) < _MEMO_CAP:
             failed.add(key)
         return False
 
     try:
-        if extend(1, full ^ (1 << anchor), rows[0], anchor):
+        unused = full ^ (1 << anchor)
+        if extend(1, unused, rows[0] & unused, anchor, None):
             witness = tuple(perm[v] for v in order)
             if not verify_witness(g, m, witness):
                 raise AssertionError(f"search produced an order that is not an m={m} cycle power: {witness}")
@@ -214,6 +251,7 @@ def brute_force_contains(g: Graph, m: int) -> bool:
     """
     from itertools import permutations
 
+    m = _integer("m", m)
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
     n = g.n

@@ -150,18 +150,6 @@ def same_side_edge_count(path: PartitionedPath) -> int:
     return sum(a.bit_count() for a in _agreements(_label_mask(path.labels), path.L, path.m))
 
 
-def same_side_edges(path: PartitionedPath) -> tuple[int, list[tuple[int, int]]]:
-    """Same-side edge count together with the explicit position pairs."""
-    pairs = []
-    L = path.L
-    labels = path.labels
-    for i in range(L):
-        for j in range(i + 1, min(i + path.m, L - 1) + 1):
-            if labels[i] == labels[j]:
-                pairs.append((i, j))
-    return len(pairs), pairs
-
-
 def normalized_edge_closed_form(seg: SegmentList, m: int) -> int:
     """Same-side edges of a normalized segment list, in closed form.
 
@@ -454,9 +442,17 @@ def clique_free(path: PartitionedPath, clique_size: int) -> bool:
 
     Such a clique exists iff some window of min(m+1, L) consecutive positions
     holds clique_size same-side vertices (a path no longer than m+1 is one
-    window).
+    window).  Stops at the first window whose B count b or A count width - b
+    reaches clique_size.
     """
-    return _no_clique_window(window_side_counts(path, min(path.m + 1, path.L)), clique_size)
+    width = min(path.m + 1, path.L)
+    x = _label_mask(path.labels)
+    window = (1 << width) - 1
+    for i in range(path.L - width + 1):
+        b = (x >> i & window).bit_count()
+        if b >= clique_size or width - b >= clique_size:
+            return False
+    return True
 
 
 def _no_clique_window(windows: list[tuple[int, int]], clique_size: int) -> bool:

@@ -42,13 +42,6 @@ def braid_density_limit(m: int, ell: int) -> Fraction:
     return Fraction(comb(ell, 2) + comb(m - ell + 1, 2), ell)
 
 
-def braid_density_limit_alt(m: int, ell: int) -> Fraction:
-    """Second closed form ell + (m^2 + m)/(2*ell) - m - 1; agrees identically."""
-    if not 1 <= ell <= m:
-        raise ValueError(f"ell must lie in [1, m], got ell={ell}, m={m}")
-    return ell + Fraction(m * m + m, 2 * ell) - m - 1
-
-
 def optimal_ell_sq(m: int) -> int:
     """Square of the real minimizer of braid_density_limit(m, .): m*(m+1)/2,
     an integer because m(m+1) is even."""
@@ -138,22 +131,6 @@ def braid_regime_report(m_lo: int, m_hi: int) -> list[RegimeRow]:
         cap = r * (r + 1)
         rows.append(RegimeRow(m, ell, r, cap, ell < cap))
     return rows
-
-
-def admissible_ells(m: int) -> list[tuple[int, Fraction]]:
-    """All ell with m/2 <= ell <= m-1 and ell < (m-ell)*(m-ell+1), with densities.
-
-    These are exactly the clique sizes for which the upper-bound machinery
-    applies; the list can be empty (it is for m = 2).
-    """
-    if m < 2:
-        raise ValueError(f"power must be >= 2, got m={m}")
-    out = []
-    for ell in range(1, m):
-        r = m - ell
-        if 2 * ell >= m and ell < r * (r + 1):
-            out.append((ell, braid_density_limit(m, ell)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,10 @@ from itertools import combinations
 
 import pytest
 
-from hampower.braids import braid, s_braids
+from hampower.braids import braid, check_braid_params, s_braids
 from hampower.density import (
     CapExceeded,
     braid_density,
-    braid_density_gap_form,
     first_moment_profile,
     is_strictly_balanced,
     max_density_brute,
@@ -42,6 +41,19 @@ def naive_max_density(g: Graph) -> Fraction:
             e = sum(1 for u, v in combinations(sub, 2) if g.has_edge(u, v))
             best = max(best, Fraction(e, k - 1))
     return best
+
+
+def braid_density_gap_form(ell: int, r: int, t: int) -> Fraction:
+    """Second form of braid_density: the limit density minus
+    (ell-1)*(r*(r+1)-ell) / (2*ell*(t*ell-1)).
+
+    Strictly increasing in t exactly when ell < r*(r+1), with the limit
+    braid_density_limit(ell + r, ell).
+    """
+    check_braid_params(ell, r, t)
+    return braid_density_limit(ell + r, ell) - Fraction(
+        (ell - 1) * (r * (r + 1) - ell), 2 * ell * (t * ell - 1)
+    )
 
 
 def test_one_density():

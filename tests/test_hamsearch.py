@@ -7,10 +7,12 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import hampower
 
+from hampower import hamsearch
 from hampower.graphs import Graph, complete_graph, cycle_power, path_power, patched_bipartite, sample_gnp, union
 from hampower.hamsearch import (
     FOUND,
@@ -138,6 +140,27 @@ def test_budget_unknown_reproducible():
     assert full.verdict in (FOUND, NOT_FOUND)
 
 
+def test_non_integer_power_and_budget_are_rejected():
+    # a float budget would be compared as a real and a bool would act as 0 or
+    # 1; numpy integers stay accepted
+    g = complete_graph(7)
+    for kwargs, name in (
+        ({"m": 2.0}, "m"),
+        ({"m": True}, "m"),
+        ({"m": 2, "budget": 2.5}, "budget"),
+        ({"m": 2, "budget": True}, "budget"),
+        ({"m": 2, "budget": np.bool_(True)}, "budget"),
+    ):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            contains_ham_power(g, **kwargs)
+    for m in (2.0, False):
+        with pytest.raises(TypeError, match="m must be an integer"):
+            verify_witness(g, m, range(7))
+    out = contains_ham_power(g, np.int64(2), budget=np.int32(3))
+    assert (out.verdict, out.nodes_expanded) == (UNKNOWN, 4)
+    assert verify_witness(g, np.int8(2), range(7))
+
+
 def test_budget_below_one_is_rejected():
     g = complete_graph(7)
     for budget in (0, -4):
@@ -201,6 +224,18 @@ GOLDEN_OTHER_POWERS = [
 ]
 
 
+# m = 1 on union(K_{a, n-a}, sample_gnp(n, q, 100 * n + seed)), as
+# (n, a, q, seed, verdict, nodes).  At m = 1 the single head slot is slot 1,
+# the vertex placed at the first memoized depth, so packing the head before
+# that vertex is placed moves every one of these counts.
+GOLDEN_M1_HEAD = [
+    (10, 3, 0.1, 0, NOT_FOUND, 1193),
+    (10, 3, 0.2, 1, NOT_FOUND, 3727),
+    (12, 4, 0.1, 1, NOT_FOUND, 12217),
+    (12, 5, 0.1, 1, NOT_FOUND, 21802),
+]
+
+
 def test_golden_node_counts_near_threshold():
     for n, p, seed, verdict, nodes in GOLDEN_NEAR_THRESHOLD:
         g = union(patched_bipartite(n, Fraction(1, 12)), sample_gnp(n, p, 1000 * n + seed))
@@ -217,6 +252,39 @@ def test_golden_node_counts_other_powers():
         assert (out.verdict, out.nodes_expanded) == (verdict, nodes), (m, n, p, seed)
         if verdict == FOUND:
             assert verify_witness(g, m, out.witness)
+
+
+def test_golden_node_counts_m1_head():
+    for n, a, q, seed, verdict, nodes in GOLDEN_M1_HEAD:
+        g = union(Graph(n, [(u, v) for u in range(a) for v in range(a, n)]), sample_gnp(n, q, 100 * n + seed))
+        out = contains_ham_power(g, 1)
+        assert (out.verdict, out.nodes_expanded) == (verdict, nodes), (n, a, q, seed)
+
+
+def test_memo_cap_keeps_verdicts(monkeypatch):
+    # Past the cap no state is stored.  Verdicts stay exact, and a capped
+    # search expands at least the nodes of the uncapped one.
+    # Complete bipartite bases make the memo pay off even at n <= 9.
+    rng = random.Random(5150)
+    corpus = []
+    for i in range(48):
+        m = 1 + i % 3
+        n = rng.randint(m + 5, 9)
+        a = rng.randint(2, n // 2)
+        base = Graph(n, [(u, v) for u in range(a) for v in range(a, n)])
+        g = union(base, sample_gnp(n, 0.15 * m + rng.choice([0.0, 0.1, 0.2]), 52000 + i))
+        corpus.append((g, m, contains_ham_power(g, m).nodes_expanded, brute_force_contains(g, m)))
+    for cap in (0, 50):
+        monkeypatch.setattr(hamsearch, "_MEMO_CAP", cap)
+        grew = 0
+        for g, m, nodes, found in corpus:
+            out = contains_ham_power(g, m)
+            assert (out.verdict == FOUND) == found, (cap, g.n, m)
+            assert out.nodes_expanded >= nodes, (cap, g.n, m)
+            if found:
+                assert verify_witness(g, m, out.witness)
+            grew += out.nodes_expanded > nodes
+        assert grew, cap  # the cap was reached and cost nodes
 
 
 def test_golden_budget_cut():

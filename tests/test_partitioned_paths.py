@@ -22,7 +22,6 @@ from hampower.partitioned_paths import (
     normalized_edge_closed_form,
     same_side_edge_count,
     same_side_edge_floor,
-    same_side_edges,
     segments,
     window_side_counts,
 )
@@ -37,6 +36,18 @@ def random_valid_path(rng: random.Random, m: int, L: int) -> PartitionedPath:
         labs.extend(side * rng.randint(1, m))
         side = "A" if side == "B" else "B"
     return PartitionedPath(m, "".join(labs[:L]))
+
+
+def same_side_edges(path: PartitionedPath) -> tuple[int, list[tuple[int, int]]]:
+    """Oracle for same_side_edge_count: the count with the explicit position pairs."""
+    pairs = []
+    L = path.L
+    labels = path.labels
+    for i in range(L):
+        for j in range(i + 1, min(i + path.m, L - 1) + 1):
+            if labels[i] == labels[j]:
+                pairs.append((i, j))
+    return len(pairs), pairs
 
 
 def test_segments_examples():
@@ -316,6 +327,20 @@ def test_window_side_counts_and_clique_free():
     assert not clique_free(PartitionedPath(9, "A" * 7), 7)
     assert clique_free(PartitionedPath(6, "AAAAB"), 5)
     assert clique_free(PartitionedPath(6, ""), 5)
+
+
+def test_clique_free_matches_window_side_counts():
+    # clique_free stops at the first window that holds a clique; it must agree
+    # with the side counts of every window, on every labeling up to L = 9
+    for m in (1, 2, 3, 6):
+        for L in range(10):
+            width = min(m + 1, L)
+            for x in range(1 << L):
+                p = PartitionedPath(m, mask_to_labels(x, L))
+                counts = window_side_counts(p, width)
+                for clique_size in range(1, m + 3):
+                    want = all(a < clique_size and b < clique_size for a, b in counts)
+                    assert clique_free(p, clique_size) == want, (p.labels, clique_size)
 
 
 def test_m6_structure_blocks():

@@ -7,9 +7,7 @@ import pytest
 from hampower.thresholds import (
     REGIME_CLASSIC,
     REGIME_OVER,
-    admissible_ells,
     braid_density_limit,
-    braid_density_limit_alt,
     braid_regime_report,
     build_tables,
     optimal_ell,
@@ -19,6 +17,29 @@ from hampower.thresholds import (
     threshold_exponent,
     threshold_exponent_of_n,
 )
+
+
+def braid_density_limit_alt(m: int, ell: int) -> Fraction:
+    """Second closed form of braid_density_limit: ell + (m^2 + m)/(2*ell) - m - 1."""
+    if not 1 <= ell <= m:
+        raise ValueError(f"ell must lie in [1, m], got ell={ell}, m={m}")
+    return ell + Fraction(m * m + m, 2 * ell) - m - 1
+
+
+def admissible_ells(m: int) -> list[tuple[int, Fraction]]:
+    """All ell with m/2 <= ell <= m-1 and ell < (m-ell)*(m-ell+1), with densities.
+
+    These are exactly the clique sizes for which the upper-bound machinery
+    applies; the list can be empty (it is for m = 2).
+    """
+    if m < 2:
+        raise ValueError(f"power must be >= 2, got m={m}")
+    out = []
+    for ell in range(1, m):
+        r = m - ell
+        if 2 * ell >= m and ell < r * (r + 1):
+            out.append((ell, braid_density_limit(m, ell)))
+    return out
 
 
 def test_density_limit_fixed_values():
