@@ -291,7 +291,8 @@ def count_new_cliques(old: Graph, new: Graph, s: int) -> int:
     closes exactly the cliques of the current graph that contain u and v,
     that is the (s-2)-cliques among their common neighbors.  Each new clique
     is counted once, when its last edge goes in, so the cost follows the
-    cliques through new edges rather than all of `new`'s cliques.
+    cliques through new edges rather than all of `new`'s cliques.  For s = 3
+    an edge closes one triangle per common neighbor, counted inline.
     """
     if old.n != new.n:
         raise ValueError(f"vertex counts differ: {old.n} vs {new.n}")
@@ -309,7 +310,8 @@ def count_new_cliques(old: Graph, new: Graph, s: int) -> int:
             bit = added & -added
             added ^= bit
             v = bit.bit_length() - 1
-            total += _cliques_in(cur, cur[u] & cur[v], s - 2)
+            common = cur[u] & cur[v]
+            total += common.bit_count() if s == 3 else _cliques_in(cur, common, s - 2)
             cur[u] |= bit
             cur[v] |= 1 << u
     return total

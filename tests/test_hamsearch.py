@@ -1,6 +1,7 @@
 """Containment decider: soundness, completeness at small scale, budgets."""
 
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -77,6 +78,23 @@ def test_verify_witness():
         verify_witness(g, 2, [0, 1, 2])
     with pytest.raises(ValueError):
         verify_witness(g, 2, [0] * 9)
+
+
+def test_verify_witness_numpy_entries_above_64_vertices():
+    # numpy entries become Python ints: 1 << np.int64(70) would be 0, an
+    # empty mask that any order passes
+    g = cycle_power(70, 2)
+    assert verify_witness(g, 2, np.arange(70))
+    bad = np.arange(70)
+    bad[[10, 40]] = bad[[40, 10]]
+    assert not verify_witness(g, 2, bad)
+
+
+def test_verify_witness_rejects_bool_and_float_entries():
+    g = complete_graph(4)
+    for order in ([0, True, 2, 3], [0, 1.0, 2, 3], [0, np.bool_(True), 2, 3], np.array([0.0, 1.0, 2.0, 3.0])):
+        with pytest.raises(TypeError, match="witness entry must be an integer"):
+            verify_witness(g, 2, order)
 
 
 def test_power_below_one_is_rejected():
@@ -236,6 +254,52 @@ GOLDEN_M1_HEAD = [
 ]
 
 
+# The witness of each Found row above, keyed by the row's leading fields.
+GOLDEN_WITNESSES = {
+    (14, 0.12, 0): (7, 1, 11, 0, 5, 8, 9, 2, 4, 12, 10, 3, 6, 13),
+    (14, 0.16, 0): (7, 1, 11, 0, 5, 12, 10, 2, 4, 8, 9, 3, 6, 13),
+    (14, 0.16, 1): (7, 6, 8, 0, 1, 12, 2, 5, 9, 4, 3, 10, 13, 11),
+    (16, 0.12, 0): (8, 1, 12, 0, 2, 10, 11, 4, 5, 13, 7, 6, 9, 15, 3, 14),
+    (16, 0.16, 0): (8, 2, 12, 0, 3, 11, 10, 1, 4, 13, 5, 7, 9, 6, 14, 15),
+    (16, 0.16, 1): (8, 4, 11, 0, 5, 14, 9, 1, 12, 10, 6, 13, 3, 7, 2, 15),
+    (1, 16, 0.3, 0): (10, 6, 0, 14, 7, 8, 1, 5, 11, 12, 3, 9, 4, 13, 15, 2),
+    (1, 18, 0.35, 2): (11, 1, 3, 17, 13, 10, 14, 7, 15, 2, 8, 6, 0, 5, 4, 16, 12, 9),
+    (3, 13, 0.7, 2): (5, 10, 12, 7, 3, 11, 9, 0, 6, 8, 1, 2, 4),
+    (3, 14, 0.72, 2): (0, 6, 13, 1, 12, 10, 3, 5, 4, 9, 7, 2, 8, 11),
+    (4, 12, 0.8, 2): (9, 11, 2, 7, 1, 8, 10, 6, 3, 4, 0, 5),
+    (4, 13, 0.85, 1): (11, 3, 7, 0, 2, 5, 4, 1, 12, 9, 6, 10, 8),
+}
+
+
+def _golden_found_rows():
+    """(key, graph, m, nodes) for every Found row of the two golden tables."""
+    for n, p, seed, verdict, nodes in GOLDEN_NEAR_THRESHOLD:
+        if verdict == FOUND:
+            g = union(patched_bipartite(n, Fraction(1, 12)), sample_gnp(n, p, 1000 * n + seed))
+            yield (n, p, seed), g, 2, nodes
+    for m, n, p, seed, verdict, nodes in GOLDEN_OTHER_POWERS:
+        if verdict == FOUND:
+            yield (m, n, p, seed), sample_gnp(n, p, 7000 + 10 * n + seed), m, nodes
+
+
+def test_golden_witnesses():
+    keys = []
+    for key, g, m, nodes in _golden_found_rows():
+        assert contains_ham_power(g, m).witness == GOLDEN_WITNESSES[key], key
+        keys.append(key)
+    assert sorted(keys) == sorted(GOLDEN_WITNESSES)
+
+
+def test_golden_budget_boundary():
+    # A Found search with N placements places its last slot as node N: a
+    # budget of N - 1 is spent on that placement, a budget of N is not.
+    for key, g, m, nodes in _golden_found_rows():
+        short = contains_ham_power(g, m, budget=nodes - 1)
+        assert (short.verdict, short.witness, short.nodes_expanded) == (UNKNOWN, None, nodes), key
+        exact = contains_ham_power(g, m, budget=nodes)
+        assert (exact.verdict, exact.witness, exact.nodes_expanded) == (FOUND, GOLDEN_WITNESSES[key], nodes), key
+
+
 def test_golden_node_counts_near_threshold():
     for n, p, seed, verdict, nodes in GOLDEN_NEAR_THRESHOLD:
         g = union(patched_bipartite(n, Fraction(1, 12)), sample_gnp(n, p, 1000 * n + seed))
@@ -259,6 +323,36 @@ def test_golden_node_counts_m1_head():
         g = union(Graph(n, [(u, v) for u in range(a) for v in range(a, n)]), sample_gnp(n, q, 100 * n + seed))
         out = contains_ham_power(g, 1)
         assert (out.verdict, out.nodes_expanded) == (verdict, nodes), (n, a, q, seed)
+
+
+def _digest_corpus():
+    """300 seeded searches: m = 1..4, n <= 12, patched-bipartite and
+    K_{a, n-a} bases plus G(n, p), each graph at budgets None, 40 and 9000."""
+    rng = random.Random(170017)
+    for i in range(100):
+        m = 1 + i % 4
+        if i % 2:
+            n = rng.randrange(max(m + 2, 6), 13, 2)
+            base = patched_bipartite(n, rng.choice([Fraction(1, n), Fraction(1, 4)]))
+        else:
+            n = rng.randint(m + 3, 12)
+            a = rng.randint(2, n // 2)
+            base = Graph(n, [(u, v) for u in range(a) for v in range(a, n)])
+        g = union(base, sample_gnp(n, 0.1 * m + rng.choice([0.1, 0.2, 0.3]), 91000 + i))
+        for budget in (None, 40, 9000):
+            yield i, m, n, budget, g
+
+
+def test_search_equivalence_digest():
+    # Guards every rewrite of the search that should leave it unchanged:
+    # verdicts, node counts and witnesses of the whole corpus hash to one
+    # value.  A change that moves node counts on purpose re-pins it.
+    lines = []
+    for i, m, n, budget, g in _digest_corpus():
+        out = contains_ham_power(g, m, budget)
+        lines.append(f"{i} {m} {n} {budget} {out.verdict} {out.nodes_expanded} {out.witness}")
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    assert digest == "4f9653b14ed3bd9d31eee5687585972a6db416748c7004e7d6c620de6a369da7"
 
 
 def test_memo_cap_keeps_verdicts(monkeypatch):
@@ -301,7 +395,12 @@ def test_relabeled_cycle_power_above_64_vertices():
     random.Random(66).shuffle(perm)
     g = Graph(n, ((perm[u], perm[v]) for u, v in cycle_power(n, 2).edges))
     out = contains_ham_power(g, 2)
-    assert out.verdict == FOUND
+    assert (out.verdict, out.nodes_expanded) == (FOUND, 68)
+    assert out.witness == (
+        65, 25, 20, 2, 62, 37, 54, 5, 12, 57, 64, 46, 27, 56, 17, 51, 58, 13, 34, 36, 3, 9,
+        39, 55, 59, 15, 50, 28, 18, 16, 63, 60, 35, 6, 47, 31, 11, 29, 33, 8, 45, 4, 23, 10,
+        26, 49, 40, 32, 1, 48, 7, 24, 52, 44, 38, 0, 22, 53, 30, 14, 19, 41, 21, 43, 42, 61,
+    )
     assert verify_witness(g, 2, out.witness)
 
 
