@@ -231,10 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="exact density reports for an edge-list file")
     p.add_argument("--input", required=True)
-    p.add_argument("--max", action="store_true", help="maximum 1-density (default)")
-    p.add_argument("--opt", action="store_true", help="use the min-cut maximizer")
-    p.add_argument("--balanced", action="store_true", help="strict-balance check")
-    p.add_argument("--phi", nargs=2, metavar=("N", "P"),
+    q = p.add_mutually_exclusive_group()
+    q.add_argument("--max", action="store_true", help="maximum 1-density (default)")
+    q.add_argument("--opt", action="store_true", help="use the min-cut maximizer")
+    q.add_argument("--balanced", action="store_true", help="strict-balance check")
+    q.add_argument("--phi", nargs=2, metavar=("N", "P"),
                    help="first-moment profile at scale N and probability P")
     p.set_defaults(func=_cmd_density)
 

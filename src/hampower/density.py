@@ -11,10 +11,13 @@ where each candidate ratio is tested by minimum cuts on the edge-selection
 network, one cut per anchor vertex in increasing order (the anchor forces a
 nonempty subset).  The cut for anchor v only needs the vertices v..n-1: a
 denser subset holding a smaller vertex would already have stopped the scan
-at that vertex.  The cut itself needs no search of its own: Dinic's last
-level search, the one that no longer reaches the sink, has marked exactly
-the residual source side.  Every lambda visited is a realized density with
-denominator <= v - 1, so termination and exactness are automatic.
+at that vertex.  So one network per ratio serves every anchor: each anchor
+augments the flow the one before it left, and a failed anchor is deleted
+with the flow through it.  The cut itself needs no search of its own:
+Dinic's last level search, the one that no longer reaches the sink, has
+marked exactly the residual source side.  Every lambda visited is a realized
+density with denominator <= v - 1, so termination and exactness are
+automatic.
 
 Also here: the closed-form braid density (its edge count is
 `braids.braid_edge_count`), strict-balance certification, first-moment
@@ -26,7 +29,6 @@ subgraphs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,9 +172,25 @@ class _Dinic:
         self.n = n
         self.g: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev-index]
 
-    def add(self, u: int, v: int, cap: int) -> None:
-        self.g[u].append([v, cap, len(self.g[v])])
+    def add(self, u: int, v: int, cap: int) -> list[int]:
+        """Adds the arc u -> v and its reverse; returns the arc."""
+        arc = [v, cap, len(self.g[v])]
+        self.g[u].append(arc)
         self.g[v].append([u, 0, len(self.g[u]) - 1])
+        return arc
+
+    def cut(self, arc: list[int]) -> int:
+        """Drops an arc added by `add` and its reverse from the residual
+        network; returns the flow the arc carried."""
+        rev = self.g[arc[0]][arc[2]]
+        flow = rev[1]
+        arc[1] = rev[1] = 0
+        return flow
+
+    def cancel(self, arc: list[int], flow: int) -> None:
+        """Takes `flow` units of flow off an arc added by `add`."""
+        arc[1] += flow
+        self.g[arc[0]][arc[2]][1] -= flow
 
     def _levels(self, s: int):
         level = [-1] * self.n
@@ -223,48 +241,75 @@ class _Dinic:
                 flow += f
 
 
-def _improving_subset(g: Graph, edges: list, lam: Fraction, anchor: int):
-    """A vertex set S with min(S) = `anchor` and density > lam, or None.
+def _first_denser_subset(n: int, edges: list, lam: Fraction):
+    """A vertex set denser than lam = a/b, or None when there is none: for
+    the least anchor v that has one, the smallest maximizer of
+    b*e(S) - a*|S| over the sets S of v..n-1 containing v.
 
-    Network on the vertices anchor..n-1 and the edges among them (a suffix of
-    the sorted edge list): source -> each edge node (cap b), edge node ->
-    endpoints (inf), vertex -> sink (cap a), source -> anchor (inf), where
-    lam = a/b.  The finite min cut equals b*(m - e(S)) + a*|S| minimized over
-    S containing the anchor, so max(b*e(S) - a*|S|) = b*m - mincut, and a
-    strictly denser subset exists iff that max exceeds -a.  The source side
-    of the residual network is the smallest maximizing S.
+    One network serves every anchor: source -> each edge node (cap b), edge
+    node -> both endpoints (inf), vertex -> sink (cap a), and source ->
+    anchor (inf) once that vertex is the anchor.  Its finite min cut for
+    anchor v equals b*(m_v - e(S)) + a*|S| minimized over the sets S of
+    v..n-1 containing v, where m_v is the number of edges among v..n-1, so
+    a strictly denser subset exists iff b*m_v - mincut + a > 0.  The source
+    side of the residual network is the smallest maximizing S.
+
+    The anchors are tried in increasing order, each augmenting the flow the
+    previous one left.  A failed anchor v is deleted before the next: its
+    arcs and those of its edge nodes lose all residual capacity, and the
+    flow through them is cancelled.  Vertex nodes send flow only to the
+    sink, so the flow that edge node (v, w) sent to w is returned on
+    w -> sink; what remains is a flow of the network on v+1..n-1 with the
+    same value less the cancelled flow.  Augmenting from it gives a maximum
+    flow of that network, and the vertices reachable from the source in the
+    residual network of any maximum flow form the same set, the minimal
+    source side of a minimum cut; so the witness is the one a network built
+    afresh for the anchor would give.
     """
     a, b = lam.numerator, lam.denominator
-    edges = edges[bisect_left(edges, (anchor,)):]
     m = len(edges)
-    src = 0
-    sink = 1 + m + g.n - anchor
-    node = 1 + m - anchor  # vertex v is node + v
-    inf = b * m + a * (g.n - anchor) + 1
+    src, sink = 0, 1 + m + n
+    node = 1 + m  # vertex v is node + v
+    inf = b * m + a * n + 1
     net = _Dinic(sink + 1)
-    for i, (u, v) in enumerate(edges, 1):
-        net.add(src, i, b)
-        net.add(i, node + u, inf)
-        net.add(i, node + v, inf)
-    for v in range(anchor, g.n):
-        net.add(node + v, sink, a)
-    net.add(src, node + anchor, inf)
-    mincut, level = net.max_flow(src, sink)
-    if b * m - mincut + a <= 0:
-        return None
-    return [v for v in range(anchor, g.n) if level[node + v] >= 0]
+    anchor_arc = [net.add(src, node + v, 0) for v in range(n)]
+    sink_arc = [net.add(node + v, sink, a) for v in range(n)]
+    edge_arcs = [
+        (net.add(src, i, b), net.add(i, node + u, inf), net.add(i, node + v, inf))
+        for i, (u, v) in enumerate(edges, 1)
+    ]
+    flow = 0
+    first = 0  # edges[first:] are the edges among the anchor and the vertices above it
+    for v in range(n):
+        anchor_arc[v][1] = inf
+        more, level = net.max_flow(src, sink)
+        flow += more
+        if b * (m - first) - flow + a > 0:
+            return [u for u in range(v, n) if level[node + u] >= 0]
+        net.cut(anchor_arc[v])
+        flow -= net.cut(sink_arc[v])
+        while first < m and edges[first][0] == v:
+            into_src, to_v, to_w = edge_arcs[first]
+            net.cut(into_src)
+            net.cut(to_v)
+            sent = net.cut(to_w)
+            net.cancel(sink_arc[edges[first][1]], sent)
+            flow -= sent
+            first += 1
+    return None
 
 
 def max_density_opt(g: Graph) -> DensityReport:
     """Same value as max_density_brute, via exact Dinkelbach iteration.
 
     Each iteration tests "is there a subset strictly denser than lam" with
-    one min cut per anchor vertex, in increasing order; any hit yields a
-    realized density strictly above lam, so the sequence of lambdas is a
-    strictly increasing walk through the finite set of realized densities
-    and terminates exactly.
+    one min cut per anchor vertex, in increasing order, all on one residual
+    network (`_first_denser_subset`); any hit yields a realized density
+    strictly above lam, so the sequence of lambdas is a strictly increasing
+    walk through the finite set of realized densities and terminates
+    exactly.
 
-    The cut for anchor v is built on the vertices v..n-1 and the edges among
+    The cut for anchor v runs on the vertices v..n-1 and the edges among
     them only.  That is exact: when anchor v is tried, no anchor u < v had a
     subset denser than lam, so no such subset contains u.  Hence, whenever
     some S containing v is denser than lam, every maximizer of
@@ -284,12 +329,7 @@ def max_density_opt(g: Graph) -> DensityReport:
         best = Fraction(1)
         witness = edges[0]
     while True:
-        improved = None
-        for anchor in range(g.n):
-            s = _improving_subset(g, edges, best, anchor)
-            if s is not None:
-                improved = s
-                break
+        improved = _first_denser_subset(g.n, edges, best)
         if improved is None:
             return DensityReport(best, witness, "optimized")
         e = induced_edge_count(g, improved)

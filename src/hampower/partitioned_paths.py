@@ -25,14 +25,18 @@ chunk to its valid masks, and each mask's same-side edges are popcounts of
 the same shifted-XOR agreement terms that same_side_edge_count applies to
 one mask.  Masks hold at most 62 labels, far beyond what enumeration reaches.
 
-Also here: a t-far edge counter and the structural checks used for the
-powers m = 6 (clique-number 4 labelings) and m = 9 (clique-number 6).  Both
-run one core (precondition, spanning k-th powers, the t <= k far-edge
-identity, each side's positions computed once) and add only their own facts.
+Also here: the structural checks used for the powers m = 6 (clique-number
+4 labelings) and m = 9 (clique-number 6).  Both run one core (precondition,
+spanning k-th powers, the t <= k far-edge identity) and add only their own
+facts.  The core reads every t-far edge count off one table: for each
+position i, c_i is the number of positions among i+1..i+m on i's side (one
+popcount of that side's mask), and the t-far edges of a side are the
+positions i on it with c_i >= t.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -61,8 +65,19 @@ class PartitionedPath:
     labels: str
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"power must be >= 1, got {self.m}")
+        m = self.m
+        if type(m) is not int:  # the common case skips operator.index
+            if isinstance(m, bool):
+                raise TypeError(f"power m must be an integer, got {m!r}")
+            try:
+                m = operator.index(m)
+            except TypeError:
+                raise TypeError(f"power m must be an integer, got {type(m).__name__}") from None
+            object.__setattr__(self, "m", m)
+        if m < 1:
+            raise ValueError(f"power must be >= 1, got {m}")
+        if not isinstance(self.labels, str):
+            raise TypeError(f"labels must be a str, got {type(self.labels).__name__}")
         stray = self.labels.translate(_NOT_A_SIDE)
         if stray:
             raise ValueError(f"labels must be A/B strings, found {sorted(set(stray))}")
@@ -81,9 +96,6 @@ class PartitionedPath:
             if run > self.m:
                 return False
         return True
-
-    def positions(self, side: str) -> list[int]:
-        return [i for i, c in enumerate(self.labels) if c == side]
 
 
 @dataclass(frozen=True)
@@ -421,13 +433,10 @@ def check_edge_floor_exhaustive(m: int, L_max: int) -> list[EdgeFloorRow]:
 # t-far edges and the structural checks for powers 6 and 9
 
 
-def _far_edge_count(pos: list[int], t: int, m: int) -> int:
-    """t-far pairs among the sorted positions `pos` that lie within distance m."""
-    return sum(1 for a, b in zip(pos, pos[t:]) if b - a <= m)
-
-
 def window_side_counts(path: PartitionedPath, width: int) -> list[tuple[int, int]]:
-    """(count_A, count_B) for every window of `width` consecutive positions."""
+    """(count_A, count_B) for every window of `width` >= 1 consecutive positions."""
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     x = _label_mask(path.labels)
     window = (1 << width) - 1
     counts = []
@@ -438,13 +447,15 @@ def window_side_counts(path: PartitionedPath, width: int) -> list[tuple[int, int
 
 
 def clique_free(path: PartitionedPath, clique_size: int) -> bool:
-    """No `clique_size` same-side vertices pairwise within path distance m.
+    """No `clique_size` >= 1 same-side vertices pairwise within path distance m.
 
     Such a clique exists iff some window of min(m+1, L) consecutive positions
     holds clique_size same-side vertices (a path no longer than m+1 is one
     window).  Stops at the first window whose B count b or A count width - b
     reaches clique_size.
     """
+    if clique_size < 1:
+        raise ValueError(f"clique_size must be >= 1, got {clique_size}")
     width = min(path.m + 1, path.L)
     x = _label_mask(path.labels)
     window = (1 << width) - 1
@@ -455,9 +466,28 @@ def clique_free(path: PartitionedPath, clique_size: int) -> bool:
     return True
 
 
-def _no_clique_window(windows: list[tuple[int, int]], clique_size: int) -> bool:
-    """True iff no window side count reaches clique_size."""
-    return all(a < clique_size and b < clique_size for a, b in windows)
+def _far_counts(labels: str, m: int) -> tuple[list[int], list[int]]:
+    """far[s][t] for the sides s = A, B (indices 0, 1) and t = 0..m+1: the
+    number of positions i on side s with c_i >= t, where c_i counts the
+    positions among i+1..i+m on side s.
+
+    The t-far pair of i (i and the t-th next position on its side) is an
+    edge exactly when c_i >= t, so far[s][t] is the number of t-far edges on
+    side s; far[s][0] is the size of side s.  One popcount per position, then
+    a cumulative histogram per side.
+    """
+    L = len(labels)
+    x = _label_mask(labels)
+    masks = (~x & ((1 << L) - 1), x)
+    window = (1 << m) - 1
+    far = ([0] * (m + 2), [0] * (m + 2))
+    for i in range(L):
+        s = x >> i & 1
+        far[s][(masks[s] >> (i + 1) & window).bit_count()] += 1
+    for hist in far:
+        for t in range(m, -1, -1):
+            hist[t] += hist[t + 1]
+    return far
 
 
 @dataclass
@@ -493,31 +523,34 @@ def _structure_core(path: PartitionedPath, m: int, clique_size: int, k: int,
                     names: tuple[str, str, str], label: str):
     """The steps the m=6 and m=9 checks share: the precondition (valid, no
     same-side K_clique_size), the spanning k-th powers and the t <= k far-edge
-    identity.  Returns (side positions or None when the precondition fails,
-    the side counts of every min(m + 1, L)-window, report fields); `names`
-    are the check's fields for the t <= k far-edge total, its expected value
-    and whether it equals kL - k(k+1)."""
+    identity.  Returns (the `_far_counts` table, or None when the
+    precondition fails; report fields); `names` are the check's fields for
+    the t <= k far-edge total, its expected value and whether it equals
+    kL - k(k+1)."""
     if path.m != m:
         raise ValueError(f"this check applies to {m}-paths, got m={path.m}")
-    windows = window_side_counts(path, min(m + 1, path.L))
-    if not (path.is_valid() and _no_clique_window(windows, clique_size)):
+    far = _far_counts(path.labels, m)
+    # a same-side K_s has a least vertex i with c_i >= s - 1, and the first
+    # position i of a run of m + 1 has c_i = m >= clique_size - 1 (both
+    # checks have clique_size <= m + 1): one test covers both halves of the
+    # precondition
+    if far[0][clique_size - 1] or far[1][clique_size - 1]:
         note = f"precondition violated: invalid labeling or same-side K_{clique_size} present"
-        return None, windows, {"L": path.L, "precondition_ok": False, "notes": [note]}
-    pos = (path.positions(SIDE_A), path.positions(SIDE_B))
-    far = sum(_far_edge_count(p, t, m) for p in pos for t in range(1, k + 1))
-    expected = sum(max(0, len(p) - t) for p in pos for t in range(1, k + 1))
-    exact = far == k * path.L - k * (k + 1)
-    identity_ok = far == expected
+        return None, {"L": path.L, "precondition_ok": False, "notes": [note]}
+    total = sum(f[t] for f in far for t in range(1, k + 1))
+    expected = sum(max(0, f[0] - t) for f in far for t in range(1, k + 1))
+    exact = total == k * path.L - k * (k + 1)
+    identity_ok = total == expected
     notes = []
-    if min(map(len, pos)) >= k and not exact:
+    if min(far[0][0], far[1][0]) >= k and not exact:
         identity_ok = False
         notes.append(f"{label} total differs from {k}L-{k * (k + 1)} despite nondegenerate sides")
-    return pos, windows, {
-        "L": path.L, "precondition_ok": True, "a_count": len(pos[0]), "b_count": len(pos[1]),
-        names[0]: far, names[1]: expected, names[2]: exact,
+    return far, {
+        "L": path.L, "precondition_ok": True, "a_count": far[0][0], "b_count": far[1][0],
+        names[0]: total, names[1]: expected, names[2]: exact,
         # each (side, t) term counts at most its pairs as edges, so the totals
         # agree exactly when every t-far pair with t <= k is an edge
-        "spans_ok": far == expected,
+        "spans_ok": total == expected,
         "identity_ok": identity_ok, "notes": notes,
     }
 
@@ -531,15 +564,15 @@ def m6_structure_check(path: PartitionedPath) -> M6Report:
     edges number at least (L-6)/4.  A violated precondition is reported, not
     asserted.
     """
-    pos, windows, fields = _structure_core(
+    far, fields = _structure_core(
         path, 6, 5, 2, ("far12_edges", "far12_expected", "identity_2l6"), "1-,2-far")
-    if pos is None:
+    if far is None:
         return M6Report(**fields)
-    far3 = sum(_far_edge_count(p, 3, 6) for p in pos)
+    far3 = far[0][3] + far[1][3]
     return M6Report(
         **fields, far3_edges=far3, far3_bound_ok=4 * far3 >= path.L - 6,
-        # a path shorter than 7 has no 7-window; its one shorter window is not checked
-        windows_ok=path.L < 7 or all(sorted(ab) == [3, 4] for ab in windows),
+        # a path shorter than 7 has no 7-window
+        windows_ok=path.L < 7 or all(sorted(ab) == [3, 4] for ab in window_side_counts(path, 7)),
     )
 
 
@@ -593,11 +626,11 @@ def m9_structure_check(path: PartitionedPath) -> M9Report:
     case for L >= 10), and the 4-/5-far counts w, z satisfy w >= L/3 - 3,
     L - 8 - w <= 4z and w + z >= L/2 - 5.
     """
-    pos, _, fields = _structure_core(
+    far, fields = _structure_core(
         path, 9, 7, 3, ("far123_edges", "far123_expected", "identity_3l12"), "t<=3-far")
-    if pos is None:
+    if far is None:
         return M9Report(**fields)
-    (w_a, w_b), (z_a, z_b) = ([_far_edge_count(p, t, 9) for p in pos] for t in (4, 5))
+    (w_a, z_a), (w_b, z_b) = far[0][4:6], far[1][4:6]
     w, z, L = w_a + w_b, z_a + z_b, path.L
     return M9Report(
         **fields, w_a=w_a, w_b=w_b, z_a=z_a, z_b=z_b,

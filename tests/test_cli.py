@@ -69,6 +69,19 @@ def test_density_balanced_exit_codes(tmp_path, capsys):
     assert json.loads(out)["witness"] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--balanced", "--opt"], ["--max", "--opt"], ["--opt", "--phi", "100", "0.3"],
+    ["--max", "--balanced"], ["--balanced", "--phi", "100", "0.3"],
+])
+def test_density_conflicting_flags_are_usage_errors(tmp_path, capsys, flags):
+    f = tmp_path / "b.edges"
+    graphs.save_edge_list(braids.braid(4, 3, 3), f)
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--input", str(f), *flags])
+    assert exc.value.code == EXIT_USAGE
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_density_phi(tmp_path, capsys):
     f = tmp_path / "e.edges"
     graphs.save_edge_list(graphs.Graph(2, [(0, 1)]), f)

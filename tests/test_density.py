@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +12,7 @@ import pytest
 from hampower.braids import braid, check_braid_params, s_braids
 from hampower.density import (
     CapExceeded,
+    _Dinic,
     braid_density,
     first_moment_profile,
     is_strictly_balanced,
@@ -21,7 +24,7 @@ from hampower.density import (
     truncation_margin_low,
     verify_truncation_margins,
 )
-from hampower.graphs import Graph, complete_graph, cycle_power, path_power, sample_gnp
+from hampower.graphs import Graph, complete_graph, cycle_power, induced_edge_count, path_power, sample_gnp
 from hampower.thresholds import braid_density_limit
 
 
@@ -452,3 +455,84 @@ def test_golden_opt_corpus():
     assert len(lines) == GOLDEN_OPT_GRAPHS
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_OPT_SHA256
+
+
+# Reference oracle: the Dinkelbach loop with one network built afresh per
+# anchor, which the single residual network per round replaced.
+
+
+def reference_improving_subset(g: Graph, edges: list, lam: Fraction, anchor: int):
+    """A vertex set S with min(S) = `anchor` and density > lam, or None, from
+    a network on the vertices anchor..n-1 and the edges among them."""
+    a, b = lam.numerator, lam.denominator
+    edges = edges[bisect_left(edges, (anchor,)):]
+    m = len(edges)
+    src = 0
+    sink = 1 + m + g.n - anchor
+    node = 1 + m - anchor  # vertex v is node + v
+    inf = b * m + a * (g.n - anchor) + 1
+    net = _Dinic(sink + 1)
+    for i, (u, v) in enumerate(edges, 1):
+        net.add(src, i, b)
+        net.add(i, node + u, inf)
+        net.add(i, node + v, inf)
+    for v in range(anchor, g.n):
+        net.add(node + v, sink, a)
+    net.add(src, node + anchor, inf)
+    mincut, level = net.max_flow(src, sink)
+    if b * m - mincut + a <= 0:
+        return None
+    return [v for v in range(anchor, g.n) if level[node + v] >= 0]
+
+
+def reference_max_density_opt(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
+    edges = sorted(g.edges)
+    if not edges:
+        return Fraction(0), (0, 1)
+    best, witness = Fraction(g.num_edges, g.n - 1), tuple(range(g.n))
+    if best < 1:
+        best, witness = Fraction(1), edges[0]
+    while True:
+        for anchor in range(g.n):
+            s = reference_improving_subset(g, edges, best, anchor)
+            if s is not None:
+                break
+        else:
+            return best, witness
+        best, witness = Fraction(induced_edge_count(g, s), len(s) - 1), tuple(s)
+
+
+def assert_opt_matches_reference(g: Graph) -> None:
+    rep = max_density_opt(g)
+    assert (rep.value, rep.witness) == reference_max_density_opt(g), g
+
+
+def test_opt_matches_reference_on_braids():
+    # the criterion-4 braid grid, then the five braids beyond brute force
+    # that the certify benchmark checks against the closed form
+    for ell in range(2, 8):
+        for r in range(1, ell + 1):
+            for t in range(2, 5):
+                if t * ell <= 20:
+                    assert_opt_matches_reference(braid(ell, r, t))
+    for key in ((5, 3, 6), (6, 3, 8), (4, 3, 14), (6, 4, 11), (7, 3, 10)):
+        assert_opt_matches_reference(braid(*key))
+
+
+def test_opt_matches_reference_on_gnp():
+    # 203 graphs: edgeless ones, sparse ones with isolated vertices, complete ones
+    rng = random.Random(18)
+    for n in range(2, 31):
+        for p in (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0):
+            assert_opt_matches_reference(sample_gnp(n, p, rng.getrandbits(64)))
+    # a single edge, isolated vertices beside dense parts, and disjoint cliques
+    for g in (Graph(2, [(0, 1)]), Graph(7, [(3, 5)]), Graph(6, [(0, 1), (2, 3)]),
+              Graph(8, [(1, 2), (1, 3), (2, 3), (5, 6)]), disjoint_cliques(4, 4),
+              disjoint_cliques(2, 3, 3), disjoint_cliques(1, 5, 1, 4)):
+        assert_opt_matches_reference(g)
+
+
+def test_opt_matches_reference_on_path_powers():
+    for v in range(2, 81):
+        for m in (2, 3):
+            assert_opt_matches_reference(path_power(v, m))

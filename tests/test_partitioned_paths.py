@@ -5,11 +5,16 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from hampower.partitioned_paths import (
+    SIDE_A,
+    SIDE_B,
     BudgetExceeded,
     EdgeFloorRow,
+    M6Report,
+    M9Report,
     PartitionedPath,
     SegmentList,
     check_edge_floor_exhaustive,
@@ -60,6 +65,20 @@ def test_segment_list_round_trip():
     seg = SegmentList((2, 3, 1), "B")
     assert seg.to_labels() == "BBAAAB"
     assert segments(PartitionedPath(3, seg.to_labels())) == seg
+
+
+def test_path_field_types():
+    for m in (2.5, 2.0, True, False, "3", None):
+        with pytest.raises(TypeError, match="power m must be an integer"):
+            PartitionedPath(m, "AB")
+    for labels in (5, None, b"AB", ["A", "B"]):
+        with pytest.raises(TypeError, match="labels must be a str"):
+            PartitionedPath(2, labels)
+    # integer types other than int are taken by value, as a plain int
+    p = PartitionedPath(np.int64(3), "AAAB")
+    assert p == PartitionedPath(3, "AAAB") and type(p.m) is int
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        PartitionedPath(np.int8(0), "AB")
 
 
 def test_validity():
@@ -284,7 +303,7 @@ def test_window_side_counts_match_reference():
     for _ in range(300):
         L = rng.randint(0, 70)
         p = PartitionedPath(rng.randint(1, 9), "".join(rng.choice("AB") for _ in range(L)))
-        for width in (0, 1, rng.randint(1, L + 2), L, L + 1):
+        for width in [w for w in (1, rng.randint(1, L + 2), L, L + 1) if w >= 1]:
             want = [(w.count("A"), w.count("B")) for w in
                     (p.labels[i : i + width] for i in range(L - width + 1))]
             assert window_side_counts(p, width) == want
@@ -337,10 +356,22 @@ def test_clique_free_matches_window_side_counts():
             width = min(m + 1, L)
             for x in range(1 << L):
                 p = PartitionedPath(m, mask_to_labels(x, L))
-                counts = window_side_counts(p, width)
+                counts = window_side_counts(p, width) if width else []
                 for clique_size in range(1, m + 3):
                     want = all(a < clique_size and b < clique_size for a, b in counts)
                     assert clique_free(p, clique_size) == want, (p.labels, clique_size)
+
+
+def test_window_and_clique_sizes_below_one_rejected():
+    p = PartitionedPath(6, "AAAABBB")
+    for width in (0, -2):
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            window_side_counts(p, width)
+    for clique_size in (0, -1):
+        with pytest.raises(ValueError, match="clique_size must be >= 1"):
+            clique_free(p, clique_size)
+        with pytest.raises(ValueError, match="clique_size must be >= 1"):
+            clique_free(PartitionedPath(6, ""), clique_size)
 
 
 def test_m6_structure_blocks():
@@ -408,3 +439,115 @@ def golden_structure_digest(m: int, L_max: int) -> tuple[int, str]:
 def test_golden_structure_reports(m):
     L_max, count, digest = GOLDEN_STRUCTURE[m]
     assert golden_structure_digest(m, L_max) == (count, digest)
+
+
+# Reference oracle: the structure checks on explicit side position lists,
+# one walk per (side, t), which the table of same-side counts replaced.
+
+
+def positions(path: PartitionedPath, side: str) -> list[int]:
+    return [i for i, c in enumerate(path.labels) if c == side]
+
+
+def reference_far_edge_count(pos: list[int], t: int, m: int) -> int:
+    """t-far pairs among the sorted positions `pos` that lie within distance m."""
+    return sum(1 for a, b in zip(pos, pos[t:]) if b - a <= m)
+
+
+def reference_structure_core(path: PartitionedPath, m: int, clique_size: int, k: int,
+                             names: tuple[str, str, str], label: str):
+    windows = window_side_counts(path, min(m + 1, path.L)) if path.L else []
+    if not (path.is_valid() and all(a < clique_size and b < clique_size for a, b in windows)):
+        note = f"precondition violated: invalid labeling or same-side K_{clique_size} present"
+        return None, windows, {"L": path.L, "precondition_ok": False, "notes": [note]}
+    pos = (positions(path, SIDE_A), positions(path, SIDE_B))
+    far = sum(reference_far_edge_count(p, t, m) for p in pos for t in range(1, k + 1))
+    expected = sum(max(0, len(p) - t) for p in pos for t in range(1, k + 1))
+    exact = far == k * path.L - k * (k + 1)
+    identity_ok = far == expected
+    notes = []
+    if min(map(len, pos)) >= k and not exact:
+        identity_ok = False
+        notes.append(f"{label} total differs from {k}L-{k * (k + 1)} despite nondegenerate sides")
+    return pos, windows, {
+        "L": path.L, "precondition_ok": True, "a_count": len(pos[0]), "b_count": len(pos[1]),
+        names[0]: far, names[1]: expected, names[2]: exact, "spans_ok": far == expected,
+        "identity_ok": identity_ok, "notes": notes,
+    }
+
+
+def reference_m6_structure_check(path: PartitionedPath) -> M6Report:
+    pos, windows, fields = reference_structure_core(
+        path, 6, 5, 2, ("far12_edges", "far12_expected", "identity_2l6"), "1-,2-far")
+    if pos is None:
+        return M6Report(**fields)
+    far3 = sum(reference_far_edge_count(p, 3, 6) for p in pos)
+    return M6Report(
+        **fields, far3_edges=far3, far3_bound_ok=4 * far3 >= path.L - 6,
+        windows_ok=path.L < 7 or all(sorted(ab) == [3, 4] for ab in windows),
+    )
+
+
+def reference_m9_structure_check(path: PartitionedPath) -> M9Report:
+    pos, _, fields = reference_structure_core(
+        path, 9, 7, 3, ("far123_edges", "far123_expected", "identity_3l12"), "t<=3-far")
+    if pos is None:
+        return M9Report(**fields)
+    (w_a, w_b), (z_a, z_b) = ([reference_far_edge_count(p, t, 9) for p in pos] for t in (4, 5))
+    w, z, L = w_a + w_b, z_a + z_b, path.L
+    return M9Report(
+        **fields, w_a=w_a, w_b=w_b, z_a=z_a, z_b=z_b,
+        w_bound_ok=3 * w >= L - 9,
+        wz_relation_ok=L - 8 - w <= 4 * z,
+        wz_total_ok=2 * (w + z) >= L - 10,
+    )
+
+
+STRUCTURE_CHECKS = {
+    # m: (check, reference, clique size, L_max of the exhaustive test)
+    6: (m6_structure_check, reference_m6_structure_check, 5, 15),
+    9: (m9_structure_check, reference_m9_structure_check, 7, 13),
+}
+
+
+def random_clique_free_labels(rng: random.Random, m: int, clique_size: int, L: int) -> str:
+    """Up to L labels, each drawn at random unless it would complete a
+    same-side K_clique_size within its last m + 1 positions; stops early when
+    neither side fits."""
+    labels = ""
+    while len(labels) < L:
+        first = rng.choice("AB")
+        for c in (first, "B" if first == "A" else "A"):
+            if (labels[-m:] + c).count(c) < clique_size:
+                labels += c
+                break
+        else:
+            break
+    return labels
+
+
+@pytest.mark.parametrize("m", sorted(STRUCTURE_CHECKS))
+def test_structure_reports_match_reference_exhaustive(m):
+    # every valid labeling up to the certify benchmark's lengths, L = 0 included
+    check, reference, _, L_max = STRUCTURE_CHECKS[m]
+    for L in range(L_max + 1):
+        for mask in iter_valid_label_masks(L, m):
+            p = PartitionedPath(m, mask_to_labels(mask, L))
+            assert check(p) == reference(p), p.labels
+
+
+@pytest.mark.parametrize("m", sorted(STRUCTURE_CHECKS))
+def test_structure_reports_match_reference_random(m):
+    # 3000 random labelings up to L = 30: arbitrary strings and valid ones,
+    # most of them holding a same-side clique, and clique-free ones
+    check, reference, clique_size, _ = STRUCTURE_CHECKS[m]
+    rng = random.Random(1800 + m)
+    for i in range(3000):
+        L = rng.randint(0, 30)
+        if i % 3 == 0:
+            p = PartitionedPath(m, "".join(rng.choice("AB") for _ in range(L)))
+        elif i % 3 == 1:
+            p = random_valid_path(rng, m, L)
+        else:
+            p = PartitionedPath(m, random_clique_free_labels(rng, m, clique_size, L))
+        assert check(p) == reference(p), p.labels
