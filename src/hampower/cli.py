@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import braids, density, graphs, hamsearch, montecarlo, partitioned_paths, thresholds, verify
 
@@ -38,7 +37,7 @@ _GEN_KINDS = {
     "complete": lambda a: graphs.complete_graph(a.n),
     "path-power": lambda a: graphs.path_power(a.v, a.m),
     "cycle-power": lambda a: graphs.cycle_power(a.v, a.m),
-    "patched-bipartite": lambda a: graphs.patched_bipartite(a.n, Fraction(a.eps)),
+    "patched-bipartite": lambda a: graphs.patched_bipartite(a.n, montecarlo._number("eps", a.eps)),
     "gnp": lambda a: graphs.sample_gnp(a.n, a.p, a.seed),
 }
 
@@ -82,13 +81,12 @@ def _tables_payload(m_max: int) -> dict:
     report = thresholds.build_tables(m_max)
     records = [thresholds.threshold_exponent(m) for m in range(2, m_max + 1)]
     cells = {"alpha": [], "optimal": [], "summary": []}
-    for c in report.cells():
-        table = c.name.partition("[")[0]  # "alpha[7]", "optimal[7].floor", "summary[10].r"
+    for c in report.cells:
         row = {"name": c.name, "computed": _frac(c.computed), "expected": _frac(c.expected),
                "match": c.match}
-        if table == "summary":
+        if c.table == "summary":
             row["known_inconsistent"] = c.known_inconsistent
-        cells[table].append(row)
+        cells[c.table].append(row)
     return {
         "exponents": [
             {"m": r.m, "ell": r.ell, "density_at_ell": str(r.density_at_ell), "alpha": str(r.alpha),

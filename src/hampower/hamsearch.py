@@ -28,7 +28,7 @@ and the memo holds only exhausted live states (a dead state costs the parent
 one AND to recognise, less than a memo lookup).  This decides no node count:
 a node is counted when the parent places a vertex, whether or not the child
 is then called.  Only the memo cap (_MEMO_CAP stored keys) sees the
-difference, since it now counts live states alone.
+difference: it counts live states alone.
 
 Each node does little besides bit operations.  Everything that depends only
 on the position (the window slots a child inherits, the head slots that wrap

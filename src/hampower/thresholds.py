@@ -23,7 +23,7 @@ inconsistent in its source; it is flagged, and the computed value wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -137,33 +137,43 @@ def braid_regime_report(m_lo: int, m_hi: int) -> list[RegimeRow]:
 # Reference tables: pinned values, recomputation, and discrepancy reporting
 
 
+_TABLE_TITLES = {"alpha": "alpha table", "optimal": "optimal-ell table", "summary": "summary table"}
+
+
 @dataclass(frozen=True)
 class TableCell:
-    name: str
+    table: str                  # "alpha", "optimal" or "summary"
+    m: int
+    column: str | None          # None in the alpha table, which has one column
     computed: object
     expected: object            # None when the reference prints no value
     match: bool
     known_inconsistent: bool = False
 
+    @property
+    def name(self) -> str:
+        """The cell's label: alpha[7], optimal[7].floor, summary[10].r."""
+        return f"{self.table}[{self.m}]" + ("" if self.column is None else f".{self.column}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class TablesReport:
-    alpha_rows: list[TableCell] = field(default_factory=list)
-    optimal_rows: dict[int, list[TableCell]] = field(default_factory=dict)
-    summary_rows: dict[int, list[TableCell]] = field(default_factory=dict)
-    discrepancies: list[str] = field(default_factory=list)
+    cells: tuple[TableCell, ...]  # table order: alpha, then optimal-ell, then summary
 
-    def cells(self):
-        """Every cell in table order: alpha, then optimal-ell, then summary."""
-        yield from self.alpha_rows
-        for table in (self.optimal_rows, self.summary_rows):
-            for rows in table.values():
-                yield from rows
+    @property
+    def discrepancies(self) -> list[str]:
+        """One line per mismatching cell, in table order."""
+        return [
+            f"{_TABLE_TITLES[c.table]}, m={c.m}{'' if c.column is None else f', {c.column}'}: "
+            f"computed {c.computed} != pinned {c.expected}"
+            + (" (known inconsistent; computed value wins)" if c.known_inconsistent else "")
+            for c in self.cells if not c.match
+        ]
 
     @property
     def ok(self) -> bool:
         """True iff every mismatch is one of the known-inconsistent pinned cells."""
-        return all(c.match or c.known_inconsistent for c in self.cells())
+        return all(c.match or c.known_inconsistent for c in self.cells)
 
 
 # Optimal-ell worksheet for m in {7, 10, ..., 14}: lambda^2, floor, ceil,
@@ -226,29 +236,21 @@ def build_tables(m_max: int = 10) -> TablesReport:
     threshold_exponent returns the pinned theorem value itself, so those
     cells restate REFERENCE_ALPHAS and match by construction, and so does
     the summary's exponent cell (-1/alpha) at those m.  The other summary
-    cells and the optimal-ell cells are recomputed.
+    cells and the optimal-ell cells are recomputed.  m_max (>= 2) bounds
+    the summary rows.
     """
-    report = TablesReport()
-    titles = {"alpha": "alpha table", "optimal": "optimal-ell table", "summary": "summary table"}
+    if m_max < 2:
+        raise ValueError(f"need m_max >= 2, got {m_max}")
+    cells = []
 
-    def compare(table, m, columns, computed, pinned) -> list[TableCell]:
+    def compare(table, m, columns, computed, pinned) -> None:
         """One cell per column; the alpha table's single column is None."""
-        cells = []
-        for name, comp, exp in zip(columns, computed, pinned):
-            known = table == "summary" and (m, name) in KNOWN_INCONSISTENT_SUMMARY_CELLS
-            suffix = "" if name is None else f".{name}"
-            cells.append(TableCell(f"{table}[{m}]{suffix}", comp, exp, comp == exp, known))
-            if comp != exp:
-                where = f"m={m}" if name is None else f"m={m}, {name}"
-                tag = " (known inconsistent; computed value wins)" if known else ""
-                report.discrepancies.append(
-                    f"{titles[table]}, {where}: computed {comp} != pinned {exp}{tag}"
-                )
-        return cells
+        for column, comp, exp in zip(columns, computed, pinned):
+            known = table == "summary" and (m, column) in KNOWN_INCONSISTENT_SUMMARY_CELLS
+            cells.append(TableCell(table, m, column, comp, exp, comp == exp, known))
 
     for m in sorted(REFERENCE_ALPHAS):
-        computed = threshold_exponent(m).alpha
-        report.alpha_rows += compare("alpha", m, (None,), (computed,), (REFERENCE_ALPHAS[m],))
+        compare("alpha", m, (None,), (threshold_exponent(m).alpha,), (REFERENCE_ALPHAS[m],))
 
     for m, pinned in sorted(REFERENCE_OPTIMAL_TABLE.items()):
         fl, ce = optimal_ell_floor_ceil(m)
@@ -259,7 +261,7 @@ def build_tables(m_max: int = 10) -> TablesReport:
         )
         columns = ("lambda_sq", "floor", "ceil", "density_at_floor", "density_at_ceil",
                    "ell", "r", "r_capacity")
-        report.optimal_rows[m] = compare("optimal", m, columns, computed, pinned)
+        compare("optimal", m, columns, computed, pinned)
 
     for m in range(2, min(m_max, max(REFERENCE_SUMMARY_TABLE)) + 1):
         pinned = REFERENCE_SUMMARY_TABLE[m]
@@ -274,6 +276,6 @@ def build_tables(m_max: int = 10) -> TablesReport:
         )
         columns = ("ell", "r", "density_at_ell", "density_at_ell_minus_1", "circled",
                    "exponent", "classic")
-        report.summary_rows[m] = compare("summary", m, columns, computed, pinned)
+        compare("summary", m, columns, computed, pinned)
 
-    return report
+    return TablesReport(tuple(cells))

@@ -76,14 +76,15 @@ def test_criterion_01_table_reproduction():
     with Timer(1.0, "1 table reproduction"):
         report = build_tables()
         assert report.ok
-        alphas = {int(c.name[6:-1]): c for c in report.alpha_rows}
+        alphas = {c.m: c for c in report.cells if c.table == "alpha"}
         expected = {2: 1, 3: 1, 4: Fraction(3, 2), 5: 2, 6: Fraction(9, 4),
                     7: Fraction(13, 5), 8: 3, 9: Fraction(7, 2)}
         for m, val in expected.items():
             assert alphas[m].computed == val and alphas[m].match
-        for m, rows in report.optimal_rows.items():
-            assert m in {7, 10, 11, 12, 13, 14}
-            assert all(c.match for c in rows)
+        for c in report.cells:
+            if c.table == "optimal":
+                assert c.m in {7, 10, 11, 12, 13, 14}
+                assert c.match
         # the known inconsistency is flagged and the computed value wins
         assert len(report.discrepancies) == 2
         assert all("m=10" in d and "known inconsistent" in d for d in report.discrepancies)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hampower import braids, graphs
+from hampower import braids, graphs, partitioned_paths
 from hampower.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -182,6 +182,38 @@ def test_verify_empty_range_is_usage_error(capsys, argv):
     assert (code, captured.out) == (EXIT_USAGE, "")
     target = "tail-margins" if argv.startswith("all") else argv.split()[0]
     assert captured.err.startswith(f"error: verify {target}:")
+
+
+def test_verify_structure_refuses_long_labelings_before_enumerating(capsys, monkeypatch):
+    # L = 63 does not fit a label mask; the bound is refused before any
+    # shorter length is enumerated, with the edge-floor message
+    def enumerate_nothing(L, m):
+        raise AssertionError(f"enumerated L={L}")
+
+    code = main(["verify", "edge-floor", "--lmax", "63"])
+    want = capsys.readouterr().err
+    assert code == EXIT_USAGE and want.startswith("error: label masks hold 0..62 positions")
+    monkeypatch.setattr(partitioned_paths, "iter_valid_label_masks", enumerate_nothing)
+    for target in ("m6", "m9", "all"):
+        code = main(["verify", target, "--lmax", "63"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", want)
+
+
+@pytest.mark.parametrize("argv", ["--m-max 1", "--m-max 0", "--m-max -5 --format json"])
+def test_threshold_table_m_max_below_two_is_usage_error(capsys, argv):
+    code = main(["threshold-table", *argv.split()])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.startswith("error: need m_max >= 2")
+
+
+@pytest.mark.parametrize("eps", ["1/0", "2/0", "0.1e"])
+def test_gen_malformed_eps_is_usage_error(capsys, eps):
+    code = main(["gen", "patched-bipartite", "--n", "16", "--eps", eps])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err == f"error: eps must be a number, got {eps!r}\n"
 
 
 def test_sweep_subcommand(tmp_path, capsys):

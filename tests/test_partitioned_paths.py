@@ -28,9 +28,31 @@ from hampower.partitioned_paths import (
     same_side_edge_count,
     same_side_edge_floor,
     segments,
-    window_side_counts,
 )
 from hampower.thresholds import braid_density_limit, optimal_ell
+
+
+def is_valid(path: PartitionedPath) -> bool:
+    """No m+1 consecutive positions on the same side."""
+    run = 0
+    prev = None
+    for c in path.labels:
+        run = run + 1 if c == prev else 1
+        prev = c
+        if run > path.m:
+            return False
+    return True
+
+
+def window_side_counts(path: PartitionedPath, width: int) -> list[tuple[int, int]]:
+    """(count_A, count_B) for every window of `width` >= 1 consecutive positions."""
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
+    counts = []
+    for i in range(path.L - width + 1):
+        b = path.labels.count(SIDE_B, i, i + width)
+        counts.append((width - b, b))
+    return counts
 
 
 def random_valid_path(rng: random.Random, m: int, L: int) -> PartitionedPath:
@@ -84,9 +106,15 @@ def test_path_field_types():
 def test_validity():
     with pytest.raises(ValueError, match=r"labels must be A/B strings, found \[' ', 'C', 'x'\]"):
         PartitionedPath(2, "ABxC A")
-    assert PartitionedPath(3, "AAABBB").is_valid()
-    assert not PartitionedPath(3, "AAAAB").is_valid()
-    assert PartitionedPath(2, "").is_valid()
+    assert is_valid(PartitionedPath(3, "AAABBB"))
+    assert not is_valid(PartitionedPath(3, "AAAAB"))
+    assert is_valid(PartitionedPath(2, ""))
+    # the character loop agrees with the mask enumeration on every labeling
+    for m in (1, 2, 3, 5):
+        for L in range(11):
+            valid = set(iter_valid_label_masks(L, m))
+            for x in range(1 << L):
+                assert is_valid(PartitionedPath(m, mask_to_labels(x, L))) == (x in valid), (m, L, x)
 
 
 def test_same_side_edges_examples():
@@ -457,7 +485,7 @@ def reference_far_edge_count(pos: list[int], t: int, m: int) -> int:
 def reference_structure_core(path: PartitionedPath, m: int, clique_size: int, k: int,
                              names: tuple[str, str, str], label: str):
     windows = window_side_counts(path, min(m + 1, path.L)) if path.L else []
-    if not (path.is_valid() and all(a < clique_size and b < clique_size for a, b in windows)):
+    if not (is_valid(path) and all(a < clique_size and b < clique_size for a, b in windows)):
         note = f"precondition violated: invalid labeling or same-side K_{clique_size} present"
         return None, windows, {"L": path.L, "precondition_ok": False, "notes": [note]}
     pos = (positions(path, SIDE_A), positions(path, SIDE_B))

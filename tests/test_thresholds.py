@@ -1,5 +1,6 @@
 """Threshold calculus: limiting braid densities, optimal ell, tables."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -152,23 +153,18 @@ def test_exponent_of_n():
 def test_build_tables_matches_pinned_values():
     report = build_tables()
     assert report.ok
-    assert all(c.match for c in report.alpha_rows)
-    for rows in report.optimal_rows.values():
-        assert all(c.match for c in rows)
+    assert all(c.match for c in report.cells if c.table == "alpha")
+    assert all(c.match for c in report.cells if c.table == "optimal")
     # the one pinned inconsistency: summary m=10 density-at-ell-1 and exponent
-    mismatched = [
-        c
-        for rows in report.summary_rows.values()
-        for c in rows
-        if not c.match
-    ]
+    summary = [c for c in report.cells if c.table == "summary"]
+    mismatched = [c for c in summary if not c.match]
     assert sorted(c.name for c in mismatched) == [
         "summary[10].density_at_ell_minus_1",
         "summary[10].exponent",
     ]
     assert all(c.known_inconsistent for c in mismatched)
     assert len(report.discrepancies) == 2
-    by_name = {c.name: c for rows in report.summary_rows.values() for c in rows}
+    by_name = {c.name: c for c in summary}
     assert by_name["summary[10].density_at_ell_minus_1"].computed == Fraction(27, 7)
     assert by_name["summary[10].density_at_ell_minus_1"].expected == Fraction(27, 4)
     assert by_name["summary[10].exponent"].computed == Fraction(-7, 27)
@@ -176,7 +172,7 @@ def test_build_tables_matches_pinned_values():
 
 def test_build_tables_optimal_row_m11():
     report = build_tables()
-    row = {c.name.split(".")[1]: c for c in report.optimal_rows[11]}
+    row = {c.column: c for c in report.cells if (c.table, c.m) == ("optimal", 11)}
     assert row["floor"].computed == 8
     assert row["ceil"].computed == 9
     assert row["density_at_floor"].computed == Fraction(17, 4)
@@ -186,7 +182,38 @@ def test_build_tables_optimal_row_m11():
 
 def test_build_tables_summary_row_m7():
     report = build_tables()
-    row = {c.name.split(".")[1]: c for c in report.summary_rows[7]}
+    row = {c.column: c for c in report.cells if (c.table, c.m) == ("summary", 7)}
     assert row["density_at_ell_minus_1"].computed == Fraction(13, 5)
     assert row["circled"].computed == "at_ell_minus_1"
     assert row["exponent"].computed == Fraction(-5, 13)
+
+
+# The ordered cell names of build_tables(), as their count and the sha256 of
+# the names joined by newlines, and its two discrepancy lines.
+GOLDEN_CELL_NAMES = (119, "56023f57708d75c475df5c930b01e02061b4d63e39d9546437f9fb0f2cb29061")
+GOLDEN_DISCREPANCIES = [
+    "summary table, m=10, density_at_ell_minus_1: computed 27/7 != pinned 27/4 "
+    "(known inconsistent; computed value wins)",
+    "summary table, m=10, exponent: computed -7/27 != pinned -4/27 "
+    "(known inconsistent; computed value wins)",
+]
+
+
+def test_table_cell_fields():
+    report = build_tables()
+    names = [c.name for c in report.cells]
+    assert (len(names), hashlib.sha256("\n".join(names).encode()).hexdigest()) == GOLDEN_CELL_NAMES
+    for c in report.cells:
+        column = "" if c.column is None else f".{c.column}"
+        assert c.name == f"{c.table}[{c.m}]{column}"
+        assert (c.column is None) == (c.table == "alpha")
+    assert [c.table for c in report.cells] == sorted(
+        (c.table for c in report.cells), key=["alpha", "optimal", "summary"].index)
+    assert report.discrepancies == GOLDEN_DISCREPANCIES
+
+
+def test_build_tables_m_max_below_two_rejected():
+    for m_max in (1, 0, -5):
+        with pytest.raises(ValueError, match="need m_max >= 2"):
+            build_tables(m_max)
+    assert [c.m for c in build_tables(2).cells if c.table == "summary"] == [2] * 7
