@@ -423,25 +423,8 @@ def truncation_margin_linear_factor(ell: int, r: int, t: int, x: int) -> int:
     return ell * t * x - r * r * t + r * r - r * t - ell + r - x + 1
 
 
-@dataclass(frozen=True)
-class MarginRow:
-    x: int
-    kind: str       # "low" | "high"
-    value: int
-    positive: bool
-
-
-@dataclass(frozen=True)
-class TruncationMarginReport:
-    ell: int
-    r: int
-    t: int
-    ok: bool
-    rows: tuple[MarginRow, ...]
-
-
-def verify_truncation_margins(ell: int, r: int, t: int) -> TruncationMarginReport:
-    """Exact positivity of every truncation margin for one (ell, r, t).
+def verify_truncation_margins(ell: int, r: int, t: int) -> bool:
+    """True iff every truncation margin for one (ell, r, t) is positive (exact).
 
     Requires t >= 2, r < ell - 1 and ell < r*(r+1) (the regime where the
     braid is the densest subgraph).  The low margins are linear in x, so the
@@ -456,10 +439,7 @@ def verify_truncation_margins(ell: int, r: int, t: int) -> TruncationMarginRepor
     if not ell < r * (r + 1):
         raise ValueError(f"need ell < r*(r+1), got ell={ell}, r={r}")
 
-    rows = []
-    for x in range(0, r + 1):
-        val = truncation_margin_low(ell, r, t, x)
-        rows.append(MarginRow(x, "low", val, val > 0))
+    ok = min(truncation_margin_low(ell, r, t, x) for x in range(0, r + 1)) > 0
     # closed form at x = 0
     if 2 * truncation_margin_low(ell, r, t, 0) != (ell - 1) * (r * (r + 1) - ell):
         raise AssertionError(f"low margin at x=0 disagrees with its closed form for {(ell, r, t)}")
@@ -473,7 +453,5 @@ def verify_truncation_margins(ell: int, r: int, t: int) -> TruncationMarginRepor
         if prev_h is not None and h <= prev_h:  # slope ell*t - 1 > 0
             raise AssertionError(f"h is not increasing at x={x} for {(ell, r, t)}")
         prev_h = h
-        rows.append(MarginRow(x, "high", val, val > 0))
-
-    ok = all(row.positive for row in rows)
-    return TruncationMarginReport(ell, r, t, ok, tuple(rows))
+        ok &= val > 0
+    return ok

@@ -4,8 +4,11 @@ One uniform is drawn per vertex pair per trial (counter-based, keyed by a
 per-trial seed); an edge is present at probability p iff its uniform is
 below p.  Thresholding the same uniforms across the whole grid couples the
 trials: the edge set at p is a superset of the edge set at any p' < p, so a
-containment hit at p' guarantees one at p and the per-trial found curve is
-monotone by construction.  Coupling changes no marginal distribution.
+trial's graphs, sorted by p, form a nested chain (as in a random graph
+process), and `_decide_chain` settles every cell it does not search
+exactly: NotFound transfers down the chain and a checked Found witness up
+it.  The found curve is monotone by construction, and coupling changes no
+marginal distribution.
 
 `run_sweep` is the one way to run trials.  It returns the per-trial
 verdicts (`SweepResult.verdicts`, indexed [trial][grid point]) next to the
@@ -38,7 +41,7 @@ from .graphs import (
     patched_bipartite,
     union,
 )
-from .hamsearch import FOUND, NOT_FOUND, UNKNOWN, contains_ham_power
+from .hamsearch import FOUND, NOT_FOUND, UNKNOWN, _integer, contains_ham_power
 
 _M64 = (1 << 64) - 1
 
@@ -176,6 +179,8 @@ class ExperimentConfig:
     budget: int | None = None
 
     def __post_init__(self):
+        for name in ("n", "m", "trials", "seed") + (("budget",) if self.budget is not None else ()):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.m < 1:
@@ -269,47 +274,25 @@ class SweepResult:
     verdicts: tuple[tuple[str, ...], ...]  # [trial][grid point], in p_grid order
 
 
-def _run_trial(config: ExperimentConfig, base: Graph, t: int) -> list[tuple[str, int]]:
-    """(verdict, random-part clique count) at each grid point of trial t, all
-    sharing one uniform array (the coupling).
-
-    Because the per-trial graphs are nested along the grid, the verdict curve
-    is a monotone step (up to Unknowns), so the transition is located by
-    bisection: a NotFound verdict transfers exactly to every smaller p (the
-    graph there is a subgraph), and a Found witness is re-verified directly
-    on every larger p (the graph there is a supergraph).  Unknown probes
-    transfer nothing; any grid point left unresolved by them is searched
-    individually.
-
-    The nesting also serves the K_{m+1} counts: the random part at the
-    lowest p is counted once with `count_cliques`, and each higher grid point
-    (in increasing p) adds the cliques through the edges it gains over the
-    one before, so a repeated p adds 0.
+def _decide_chain(chain: list[Graph], m: int, budget: int | None) -> list[str]:
+    """The verdict on each graph of `chain`, where each graph is a subgraph
+    of the next.  Bisection finds the step of the monotone verdicts:
+    NotFound transfers exactly down the chain, and the lowest Found witness
+    is re-verified on each later graph (AssertionError if it fails, as it
+    can only on a chain that is not nested).  Unknown probes transfer
+    nothing; each graph they leave open is searched on its own.
     """
-    from .hamsearch import verify_witness
-
-    m, budget, ps = config.m, config.budget, config.probabilities()
-    gnp = coupled_gnp(config.n, pair_uniforms(config.n, trial_seed(config.seed, t)))
-    k = len(ps)
-    by_p = sorted(range(k), key=lambda i: (ps[i], i))
-
-    random_parts = [gnp(p) for p in ps]
-    graphs: list[Graph | None] = [None] * k
-
-    def graph_at(gi: int) -> Graph:
-        if graphs[gi] is None:
-            graphs[gi] = union(base, random_parts[gi])
-        return graphs[gi]
+    from .hamsearch import verify_witness  # at call time, so a rebinding in hamsearch is seen
 
     # Bisection moves up past every NotFound probe and down past every Found
     # one, so the last of each is the highest NotFound and the lowest Found.
-    verdicts: list[str | None] = [None] * k
-    refuted_below, found_above, witness = -1, k, None  # positions in by_p
-    lo, hi = 0, k - 1
+    verdicts: list[str | None] = [None] * len(chain)
+    refuted_below, found_above, witness = -1, len(chain), None
+    lo, hi = 0, len(chain) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        out = contains_ham_power(graph_at(by_p[mid]), m, budget)
-        verdicts[by_p[mid]] = out.verdict
+        out = contains_ham_power(chain[mid], m, budget)
+        verdicts[mid] = out.verdict
         if out.verdict == FOUND:
             found_above, witness = mid, out.witness
             hi = mid - 1
@@ -318,27 +301,40 @@ def _run_trial(config: ExperimentConfig, base: Graph, t: int) -> list[tuple[str,
                 refuted_below = mid
             lo = mid + 1
 
-    for pos in range(k):
-        gi = by_p[pos]
-        if verdicts[gi] is not None:
+    for i, g in enumerate(chain):
+        if verdicts[i] is not None:
             continue
-        if pos < refuted_below:
-            verdicts[gi] = NOT_FOUND  # subgraph of an exhaustively refuted graph
-        elif pos > found_above:
-            if not verify_witness(graph_at(gi), m, witness):
-                raise AssertionError("coupled witness failed to verify on a supergraph")
-            verdicts[gi] = FOUND
+        if i < refuted_below:
+            verdicts[i] = NOT_FOUND  # subgraph of an exhaustively refuted graph
+        elif i > found_above:
+            if not verify_witness(g, m, witness):
+                raise AssertionError("witness failed to verify on a later graph: the chain is not nested")
+            verdicts[i] = FOUND
         else:
-            verdicts[gi] = contains_ham_power(graph_at(gi), m, budget).verdict
+            verdicts[i] = contains_ham_power(g, m, budget).verdict
+    return verdicts
 
-    cliques = [0] * k
-    for pos, gi in enumerate(by_p):
-        if pos == 0:
-            cliques[gi] = count_cliques(random_parts[gi], m + 1)
-        else:
-            below = by_p[pos - 1]
-            cliques[gi] = cliques[below] + count_new_cliques(random_parts[below], random_parts[gi], m + 1)
-    return list(zip(verdicts, cliques))
+
+def _run_trial(config: ExperimentConfig, base: Graph, t: int) -> list[tuple[str, int]]:
+    """(verdict, random-part clique count) at each grid point of trial t.
+
+    Sorting the grid by p (ties in grid order) orders the random parts and
+    their unions with the base as a nested chain.  `_decide_chain` decides
+    the unions; one walk up the parts counts K_{m+1}, with `count_cliques` on
+    the first and, at each step, `count_new_cliques` through the edges gained
+    (a repeated p adds 0).
+    """
+    ps = config.probabilities()
+    gnp = coupled_gnp(config.n, pair_uniforms(config.n, trial_seed(config.seed, t)))
+    order = sorted(range(len(ps)), key=lambda i: (ps[i], i))
+    parts = [gnp(ps[i]) for i in order]
+    verdicts = _decide_chain([union(base, part) for part in parts], config.m, config.budget)
+
+    cliques = [count_cliques(parts[0], config.m + 1)] if parts else []
+    for below, part in zip(parts, parts[1:]):
+        cliques.append(cliques[-1] + count_new_cliques(below, part, config.m + 1))
+    # back to grid order: position pos of the chain is grid point order[pos]
+    return [cell for _, cell in sorted(zip(order, zip(verdicts, cliques)))]
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:

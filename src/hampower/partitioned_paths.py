@@ -375,7 +375,9 @@ def _valid_mask_chunks(L: int, m: int):
 
 def iter_valid_label_masks(L: int, m: int):
     """All side-label bitmasks of length L with no m+1 consecutive equal bits,
-    as Python ints in ascending order.  L must lie in 0..62."""
+    as Python ints in ascending order.  L must lie in 0..62 and m be >= 1."""
+    if m < 1:
+        raise ValueError(f"power m must be >= 1, got m={m}")
     _check_mask_length(L)
     return (x for chunk in _valid_mask_chunks(L, m) for x in chunk.tolist())
 

@@ -105,9 +105,8 @@ def tail_margins(ell_max: int, t_max: int) -> Check:
     for r in range(1, ell_max):
         for ell in range(r + 2, min(ell_max, r * (r + 1) - 1) + 1):
             for t in range(2, t_max + 1):
-                rep = density.verify_truncation_margins(ell, r, t)
                 count += 1
-                if not rep.ok and bad is None:
+                if not density.verify_truncation_margins(ell, r, t) and bad is None:
                     bad = f"(ell={ell}, r={r}, t={t})"
     lines = [f"checked {count} parameter triples" + (", all margins positive" if bad is None else "")]
     return _check("tail-margins", bad is None, count, lines,

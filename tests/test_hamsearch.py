@@ -422,12 +422,21 @@ def test_budget_unknown_reproducible_above_64_vertices():
 
 
 def test_unverified_witness_raises_under_optimize_flag():
-    # Found must carry a checked witness even when asserts are compiled out
+    # Found must carry a checked witness even when asserts are compiled out:
+    # from the search, and when a sweep's chain decider transfers a witness
+    # to a graph that is not a supergraph
     code = textwrap.dedent("""
         import sys
         assert not __debug__
         import hampower.hamsearch as hs
-        from hampower.graphs import complete_graph
+        from hampower.graphs import Graph, complete_graph
+        from hampower.montecarlo import _decide_chain
+        try:
+            _decide_chain([complete_graph(6), Graph(6)], 2, None)
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            sys.exit(1)
         hs.verify_witness = lambda g, m, order: False
         try:
             hs.contains_ham_power(complete_graph(6), 2)
@@ -440,4 +449,4 @@ def test_unverified_witness_raises_under_optimize_flag():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "raised:" in proc.stdout
+    assert proc.stdout.count("raised:") == 2, proc.stdout

@@ -5,10 +5,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hampower import hamsearch, montecarlo
-from hampower.graphs import sample_gnp
+from hampower.graphs import Graph, complete_graph, cycle_power, patched_bipartite, path_power, sample_gnp, union
 from hampower.hamsearch import FOUND, NOT_FOUND, UNKNOWN
 from hampower.montecarlo import (
     BaseGraphSpec,
@@ -56,6 +57,20 @@ def test_config_rejects_power_below_one():
             small_config(m=m)
         with pytest.raises(ValueError, match="m must be >= 1"):
             small_config(m=m, p_grid=())
+
+
+def test_config_integer_fields_checked_when_built_directly():
+    # these used to fail later inside run_sweep, run to the first search, or
+    # break json.dumps of to_json_dict
+    for key, bad in [("n", 16.0), ("m", True), ("trials", 1.5), ("seed", 1.5), ("seed", "7"),
+                     ("budget", 2.5), ("budget", False)]:
+        with pytest.raises(TypeError, match=f"{key} must be an integer"):
+            small_config(**{key: bad})
+    cfg = small_config(n=np.int64(12), m=np.int32(2), trials=np.int64(2), seed=np.uint8(3),
+                       budget=np.int64(500))
+    assert all(type(getattr(cfg, k)) is int for k in ("n", "m", "trials", "seed", "budget"))
+    assert json.loads(json.dumps(cfg.to_json_dict())) == small_config(n=12, trials=2, seed=3,
+                                                                      budget=500).to_json_dict()
 
 
 def test_config_json_round_trip():
@@ -313,9 +328,87 @@ def test_sweep_calls_the_module_globals(monkeypatch):
                          (hamsearch, "verify_witness")]:
         counting(module, name)
     assert result_to_csv(run_sweep(cfg, workers=1)) == expected
-    assert calls["pair_uniforms"] == cfg.trials
-    assert calls["count_cliques"] == cfg.trials  # once per trial; higher p count only new cliques
-    assert calls["contains_ham_power"] and calls["union"] and calls["verify_witness"]
+    # verify_witness counts the search's own witness checks too; union is
+    # called once per cell, so 6 * 8 = 48 (42 while refuted cells were not built)
+    assert calls == {"pair_uniforms": 8, "contains_ham_power": 24, "verify_witness": 30,
+                     "count_cliques": 8, "union": 48}
+
+
+def test_budgeted_sweep_pinned():
+    # Unknown probes leave cells to be searched on their own; the grid is
+    # unsorted and repeats 0.3.  Computed before the chain decider was split out.
+    cfg = ExperimentConfig(n=16, m=2, base=BaseGraphSpec("patched_bipartite", eps=Fraction(1, 12)),
+                           p_grid=(1.0, 0.1, 0.3, 0.0, 0.5, 0.2, 0.3), trials=4, seed=20260810, budget=400)
+    result = run_sweep(cfg)
+    assert result_to_csv(result) == (
+        "p,found_frac,notfound_frac,unknown_frac,mean_kcliques\n"
+        "1,1,0,0,560\n"
+        "0.1,0,0,1,1\n"
+        "0.3,1,0,0,12.75\n"
+        "0,0,0,1,0\n"
+        "0.5,1,0,0,88.25\n"
+        "0.2,0.75,0,0.25,5.5\n"
+        "0.3,1,0,0,12.75\n"
+    )
+    F, U = FOUND, UNKNOWN
+    assert result.verdicts == ((F, U, F, U, F, U, F),) + ((F, U, F, U, F, F, F),) * 3
+
+
+def spy_chain(monkeypatch, chain):
+    """Record, as chain positions, the graphs that the decider searches and
+    the graphs that any witness is verified on."""
+    searched, verified = [], []
+    search, verify = montecarlo.contains_ham_power, hamsearch.verify_witness
+
+    def position(g):
+        return next(i for i, h in enumerate(chain) if h is g)
+
+    def searching(g, m, budget=None):
+        searched.append(position(g))
+        return search(g, m, budget)
+
+    def verifying(g, m, order):
+        verified.append(position(g))
+        return verify(g, m, order)
+
+    monkeypatch.setattr(montecarlo, "contains_ham_power", searching)
+    monkeypatch.setattr(hamsearch, "verify_witness", verifying)
+    return searched, verified
+
+
+def test_chain_transfers_not_found_down(monkeypatch):
+    chain = [Graph(8) for _ in range(3)]
+    searched, _ = spy_chain(monkeypatch, chain)
+    assert montecarlo._decide_chain(chain, 2, None) == [NOT_FOUND] * 3
+    assert searched == [1, 2]  # chain[0] is a subgraph of the refuted chain[1]
+
+
+def test_chain_reverifies_found_witness_up(monkeypatch):
+    cycle = cycle_power(8, 2)
+    chain = [Graph(8), path_power(8, 2), cycle, union(cycle, Graph(8, [(0, 4)])), complete_graph(8)]
+    searched, verified = spy_chain(monkeypatch, chain)
+    assert montecarlo._decide_chain(chain, 2, None) == [NOT_FOUND] * 2 + [FOUND] * 3
+    assert searched == [2, 0, 1]
+    assert [i for i in verified if i not in searched] == [3, 4]
+
+
+def test_chain_searches_graphs_unknown_probes_leave_open(monkeypatch):
+    # patched_bipartite(16, 1/12) is NotFound after 5139 nodes, Unknown at budget 400
+    chain = [Graph(16) for _ in range(4)] + [patched_bipartite(16, Fraction(1, 12)) for _ in range(2)]
+    chain.append(complete_graph(16))
+    searched, _ = spy_chain(monkeypatch, chain)
+    assert montecarlo._decide_chain(chain, 2, None) == [NOT_FOUND] * 6 + [FOUND]
+    assert searched == [3, 5, 6]
+    searched.clear()
+    assert montecarlo._decide_chain(chain, 2, 400) == [NOT_FOUND] * 4 + [UNKNOWN] * 2 + [FOUND]
+    assert searched == [3, 5, 6, 4]  # chain[4] lies between a NotFound and a Found probe
+
+
+def test_chain_not_nested_fails_the_transferred_witness():
+    # the witness of complete_graph(6) does not hold on the empty graph above it;
+    # python -O is covered by test_unverified_witness_raises_under_optimize_flag
+    with pytest.raises(AssertionError, match="the chain is not nested"):
+        montecarlo._decide_chain([complete_graph(6), Graph(6)], 2, None)
 
 
 def test_csv_header_only_for_empty_grid():

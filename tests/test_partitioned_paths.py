@@ -315,6 +315,15 @@ def test_label_mask_length_bounds():
     assert check_edge_floor_exhaustive(2, 0) == []
 
 
+def test_label_masks_reject_power_below_one():
+    # raised when called, before any mask is built (it used to yield nothing)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"power m must be >= 1, got m={m}"):
+            iter_valid_label_masks(3, m)
+    with pytest.raises(ValueError, match="got m=-1"):
+        iter_valid_label_masks(63, -1)  # m is checked before L
+
+
 def test_mask_to_labels_reads_the_low_bits_of_any_int():
     masks = list(range(-70, 300)) + [2**70 + 0b1011, -(2**70) + 5, 2**62 - 1]
     for L in range(12):
