@@ -37,7 +37,7 @@ _GEN_KINDS = {
     "complete": lambda a: graphs.complete_graph(a.n),
     "path-power": lambda a: graphs.path_power(a.v, a.m),
     "cycle-power": lambda a: graphs.cycle_power(a.v, a.m),
-    "patched-bipartite": lambda a: graphs.patched_bipartite(a.n, montecarlo._number("eps", a.eps)),
+    "patched-bipartite": lambda a: graphs.patched_bipartite(a.n, a.eps),
     "gnp": lambda a: graphs.sample_gnp(a.n, a.p, a.seed),
 }
 

@@ -12,20 +12,49 @@ Cliques are counted either from scratch (`count_cliques`) or, for a graph
 that only adds edges to another, as the cliques through the added edges
 (`count_new_cliques`); the coupled sweep counts each trial's first graph
 the first way and every larger one the second.
+
+The package's two argument rules live here too: `_integer` (an int, numpy
+integers by value, never a bool or a float) and `_number` (a number, never
+a bool, or a string such as "1/8" where a Fraction is wanted).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import index
 
 import numpy as np
 
 Edge = tuple[int, int]
 
 _MASK128 = (1 << 128) - 1
+
+
+def _integer(name: str, value) -> int:
+    """value as an int through operator.index, so numpy integers pass; a
+    float, which would be truncated or compared as a real, and a bool, which
+    would act as 0 or 1, raise TypeError naming the parameter."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
+def _number(what: str, value, kind=Fraction):
+    """kind(value), or a ValueError naming the field.  Booleans are not
+    numbers; strings are read only as Fractions, in a form such as "1/8"."""
+    if isinstance(value, bool) or (isinstance(value, str) and kind is not Fraction):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{what} must be a number, got {value!r}") from exc
 
 
 class Graph:
@@ -38,11 +67,13 @@ class Graph:
     """
 
     def __init__(self, n: int, edges=()):
+        n = _integer("vertex count", n)
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         rows = [0] * n
         for u, v in edges:
-            u, v = index(u), index(v)
+            if type(u) is not int or type(v) is not int:
+                u, v = _integer("edge endpoint", u), _integer("edge endpoint", v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -118,6 +149,7 @@ def _unpack_rows(rows, n: int) -> np.ndarray:
 
 def complete_graph(n: int) -> Graph:
     """All C(n, 2) edges on n >= 1 vertices."""
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("complete_graph needs n >= 1")
     return Graph(n, combinations(range(n), 2))
@@ -128,6 +160,7 @@ def path_power(v: int, m: int) -> Graph:
 
     For v >= m + 1 the edge count is v*m - C(m+1, 2).
     """
+    v, m = _integer("v", v), _integer("m", m)
     if v < 1 or m < 1:
         raise ValueError("path_power needs v >= 1 and m >= 1")
     edges = [(i, j) for i in range(v) for j in range(i + 1, min(i + m, v - 1) + 1)]
@@ -139,6 +172,7 @@ def cycle_power(v: int, m: int) -> Graph:
 
     For v >= 2m + 1 the edge count is v*m (the graph is 2m-regular).
     """
+    v, m = _integer("v", v), _integer("m", m)
     if v < 3 or m < 1:
         raise ValueError("cycle_power needs v >= 3 and m >= 1")
     edges = set()
@@ -164,8 +198,9 @@ def patched_bipartite(n: int, eps) -> Graph:
     the rest of their own side.  U and W sit at fixed canonical positions so
     the output is reproducible.  Minimum degree is n/2 + floor(eps*n)
     (attained on X\\U and Y\\W whenever floor(eps*n) <= n/2 - floor(eps*n)).
+    eps may be a number or a string such as "1/8".
     """
-    eps = Fraction(eps)
+    n, eps = _integer("n", n), _number("eps", eps)
     if n < 2 or n % 2 != 0:
         raise ValueError(f"patched_bipartite needs even n >= 2, got {n}")
     if not (0 < eps <= Fraction(1, 4)):
@@ -190,9 +225,10 @@ def patched_bipartite(n: int, eps) -> Graph:
 
 def pair_uniforms(n: int, seed: int) -> np.ndarray:
     """One uniform per unordered pair, in row-major upper-triangle order."""
+    n, seed = _integer("n", n), _integer("seed", seed)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    bg = np.random.Philox(key=int(seed) & _MASK128)
+    bg = np.random.Philox(key=seed & _MASK128)
     return np.random.Generator(bg).random(n * (n - 1) // 2)
 
 
@@ -226,10 +262,6 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     Identical (n, p, seed) triples give identical edge sets.  For a fixed
     seed the edge set at p' <= p is a subset of the edge set at p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return coupled_gnp(n, pair_uniforms(n, seed))(p)
 
 
@@ -273,6 +305,7 @@ def _cliques_in(adj, cand: int, need: int) -> int:
 
 def count_cliques(g: Graph, s: int) -> int:
     """Exact number of s-vertex cliques, by pruned recursion on neighborhood masks."""
+    s = _integer("clique size", s)
     if s < 1:
         raise ValueError("clique size must be >= 1")
     if s == 1:
@@ -296,6 +329,7 @@ def count_new_cliques(old: Graph, new: Graph, s: int) -> int:
     """
     if old.n != new.n:
         raise ValueError(f"vertex counts differ: {old.n} vs {new.n}")
+    s = _integer("clique size", s)
     if s < 1:
         raise ValueError("clique size must be >= 1")
     if any(a & ~b for a, b in zip(old.adj, new.adj)):

@@ -56,12 +56,11 @@ wrong answer.  The node count is deterministic, so Unknown is reproducible.
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, _integer, induced_subgraph
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -82,18 +81,6 @@ class SearchOutcome:
             "witness": None if self.witness is None else list(self.witness),
             "nodes_expanded": self.nodes_expanded,
         }
-
-
-def _integer(name: str, value) -> int:
-    """value as an int through operator.index, so numpy integers pass; a
-    float, which would be truncated or compared as a real, and a bool, which
-    would act as 0 or 1, raise TypeError naming the parameter."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}") from None
 
 
 def verify_witness(g: Graph, m: int, order) -> bool:

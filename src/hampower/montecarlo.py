@@ -26,12 +26,15 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 from .graphs import (
     Graph,
+    _integer,
+    _number,
     complete_graph,
     count_cliques,
     count_new_cliques,
@@ -39,41 +42,14 @@ from .graphs import (
     load_edge_list,
     pair_uniforms,
     patched_bipartite,
+    sample_gnp,
     union,
 )
-from .hamsearch import FOUND, NOT_FOUND, UNKNOWN, _integer, contains_ham_power
+from .hamsearch import FOUND, NOT_FOUND, UNKNOWN, contains_ham_power
 
 _M64 = (1 << 64) - 1
 
 BASE_KINDS = ("complete", "empty", "patched_bipartite", "file")
-
-
-def _required(what: str, d: dict, key: str):
-    """d[key], or a ValueError naming the missing key of the JSON object d."""
-    if key not in d:
-        raise ValueError(f"{what} is missing required key {key!r}")
-    return d[key]
-
-
-def _json_int(d: dict, key: str, optional: bool = False) -> int | None:
-    """d[key] as an int, never truncated: floats, strings and bools are
-    rejected, and null (or absence) is accepted only when optional."""
-    value = d.get(key) if optional else _required("config", d, key)
-    if type(value) is not int and not (optional and value is None):
-        raise ValueError(f"config {key} must be an integer{' or null' if optional else ''}, got {value!r}")
-    return value
-
-
-def _number(what: str, value, kind=Fraction):
-    """kind(value), or a ValueError naming the field.  JSON true and false
-    are not numbers; strings are read only as Fractions, in the form such as
-    "1/8" that `to_json_dict` writes."""
-    if isinstance(value, bool) or (isinstance(value, str) and kind is not Fraction):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"{what} must be a number, got {value!r}") from exc
 
 
 def _json_list(what: str, value) -> list:
@@ -82,15 +58,19 @@ def _json_list(what: str, value) -> list:
     return value
 
 
-def _reject_unknown_keys(what: str, d: dict, cls) -> None:
-    """Raise ValueError if d is not a JSON object or has a key that is not a
-    field of cls."""
+def _json_object(what: str, d, cls) -> dict:
+    """d, once it is known to be a JSON object whose keys are fields of cls and
+    include each field without a default; a ValueError names the fault."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
     allowed = [f.name for f in fields(cls)]
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {what} key(s) {unknown}; expected some of {allowed}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in d:
+            raise ValueError(f"{what} is missing required key {f.name!r}")
+    return d
 
 
 def _splitmix64(x: int) -> int:
@@ -108,6 +88,8 @@ def trial_seed(seed: int, trial: int) -> int:
 
 @dataclass(frozen=True)
 class BaseGraphSpec:
+    """The base graph of a sweep; eps is stored as a Fraction."""
+
     kind: str
     eps: Fraction | None = None
     path: str | None = None
@@ -115,12 +97,12 @@ class BaseGraphSpec:
     def __post_init__(self):
         if self.kind not in BASE_KINDS:
             raise ValueError(f"unknown base kind {self.kind!r}; expected one of {BASE_KINDS}")
-        if self.kind == "patched_bipartite" and self.eps is None:
-            raise ValueError("patched_bipartite base needs eps")
-        if self.kind == "file" and not self.path:
-            raise ValueError("file base needs a path")
-        if self.eps is not None and self.kind != "patched_bipartite":
+        if self.kind == "patched_bipartite":
+            object.__setattr__(self, "eps", _number("base eps", self.eps))
+        elif self.eps is not None:
             raise ValueError(f"base eps is used only by kind 'patched_bipartite', not {self.kind!r}")
+        if self.kind == "file" and not (isinstance(self.path, str) and self.path):
+            raise ValueError(f"base path must be a string naming a file, got {self.path!r}")
         if self.path is not None and self.kind != "file":
             raise ValueError(f"base path is used only by kind 'file', not {self.kind!r}")
 
@@ -146,23 +128,20 @@ class BaseGraphSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "BaseGraphSpec":
-        _reject_unknown_keys("base", d, BaseGraphSpec)
-        path = d.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ValueError(f"base path must be a string, got {path!r}")
-        return BaseGraphSpec(
-            kind=_required("base", d, "kind"),
-            eps=_number("base eps", d["eps"]) if "eps" in d else None,
-            path=path,
-        )
+        return BaseGraphSpec(**_json_object("base", d, BaseGraphSpec))
 
 
 @dataclass(frozen=True)
 class ExponentGrid:
-    """p = n^(-alpha - mu) for each offset mu; exponents are exact rationals."""
+    """p = n^(-alpha - mu) for each offset mu; exponents are exact rationals,
+    stored as a Fraction and a tuple of Fractions."""
 
     alpha: Fraction
     mu_list: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _number("p_grid alpha", self.alpha))
+        object.__setattr__(self, "mu_list", tuple(_number("p_grid mu_list entry", mu) for mu in self.mu_list))
 
     def probabilities(self, n: int) -> tuple[float, ...]:
         return tuple(float(n) ** float(-(self.alpha + mu)) for mu in self.mu_list)
@@ -170,6 +149,9 @@ class ExponentGrid:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep.  The constructor checks every field and stores plain ints, a
+    BaseGraphSpec, and either a tuple of floats or an ExponentGrid."""
+
     n: int
     m: int
     base: BaseGraphSpec
@@ -180,7 +162,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n", "m", "trials", "seed") + (("budget",) if self.budget is not None else ()):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(f"config {name}", getattr(self, name)))
+        if not isinstance(self.p_grid, ExponentGrid):
+            object.__setattr__(self, "p_grid", tuple(_number("config p_grid entry", p, float) for p in self.p_grid))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.m < 1:
@@ -196,18 +180,18 @@ class ExperimentConfig:
             warnings.warn(
                 f"n={self.n} with no search budget: exhaustive NotFound proofs "
                 "may be very slow; consider setting one",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
         if self.budget is not None and self.budget < self.n * self.n:
             warnings.warn(
                 f"budget {self.budget} is below n^2; expect heavy Unknown rates",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def probabilities(self) -> tuple[float, ...]:
         if isinstance(self.p_grid, ExponentGrid):
             return self.p_grid.probabilities(self.n)
-        return tuple(self.p_grid)
+        return self.p_grid
 
     def to_json_dict(self) -> dict:
         if isinstance(self.p_grid, ExponentGrid):
@@ -229,27 +213,20 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
-        _reject_unknown_keys("config", d, ExperimentConfig)
-        raw = _required("config", d, "p_grid")
-        if isinstance(raw, dict):
-            _reject_unknown_keys("p_grid", raw, ExponentGrid)
-            grid = ExponentGrid(
-                _number("p_grid alpha", _required("p_grid", raw, "alpha")),
-                tuple(_number("p_grid mu_list entry", s)
-                      for s in _json_list("p_grid mu_list", _required("p_grid", raw, "mu_list"))),
-            )
-        else:
-            grid = tuple(_number("config p_grid entry", x, float)
-                         for x in _json_list("config p_grid (a list or an exponent grid object)", raw))
-        return ExperimentConfig(
-            n=_json_int(d, "n"),
-            m=_json_int(d, "m"),
-            base=BaseGraphSpec.from_json_dict(_required("config", d, "base")),
-            p_grid=grid,
-            trials=_json_int(d, "trials"),
-            seed=_json_int(d, "seed"),
-            budget=_json_int(d, "budget", optional=True),
-        )
+        """The config a JSON object describes.  Only the JSON shape is checked
+        here; the constructors check the values, and a TypeError of theirs is
+        raised as a ValueError."""
+        _json_object("config", d, ExperimentConfig)
+        grid = d["p_grid"]
+        try:
+            if isinstance(grid, dict):
+                _json_list("p_grid mu_list", _json_object("p_grid", grid, ExponentGrid)["mu_list"])
+                grid = ExponentGrid(**grid)
+            else:
+                _json_list("config p_grid (a list or an exponent grid object)", grid)
+            return ExperimentConfig(**dict(d, base=BaseGraphSpec.from_json_dict(d["base"]), p_grid=grid))
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -379,15 +356,9 @@ class CliqueStats:
 def clique_stats(n: int, p: float, m: int, trials: int, seed: int) -> CliqueStats:
     """Empirical mean count of K_{m+1} in the random graph alone, next to the
     analytic first-moment value."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    from math import comb
-
     total = 0
-    from .graphs import sample_gnp
-
     for t in range(trials):
         g = sample_gnp(n, p, trial_seed(seed, t))
         total += count_cliques(g, m + 1)

@@ -44,13 +44,13 @@ table for each of them first was about 3x slower.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
+from .graphs import _integer
 from .thresholds import braid_density_limit, optimal_ell
 
 SIDE_A = "A"
@@ -74,13 +74,8 @@ class PartitionedPath:
 
     def __post_init__(self):
         m = self.m
-        if type(m) is not int:  # the common case skips operator.index
-            if isinstance(m, bool):
-                raise TypeError(f"power m must be an integer, got {m!r}")
-            try:
-                m = operator.index(m)
-            except TypeError:
-                raise TypeError(f"power m must be an integer, got {type(m).__name__}") from None
+        if type(m) is not int:  # the common case skips the call
+            m = _integer("power m", m)
             object.__setattr__(self, "m", m)
         if m < 1:
             raise ValueError(f"power must be >= 1, got {m}")

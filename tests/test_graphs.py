@@ -1,15 +1,19 @@
-"""Graph constructors, clique counting, sampling, and I/O."""
+"""Graph constructors, clique counting, sampling, I/O, and the input rules."""
 
+import ast
 import hashlib
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hampower import graphs
 from hampower.graphs import (
     Graph,
     complete_graph,
@@ -149,6 +153,68 @@ def test_patched_bipartite_errors():
         patched_bipartite(12, Fraction(1, 2))  # eps > 1/4
     with pytest.raises(ValueError):
         patched_bipartite(12, Fraction(1, 100))  # empty patch
+
+
+def test_patched_bipartite_eps_forms():
+    g = patched_bipartite(16, Fraction(1, 8))
+    assert patched_bipartite(16, "1/8") == patched_bipartite(16, 0.125) == g
+    for bad in ("1/0", "0.1e", True, None):  # "1/0" was a ZeroDivisionError
+        with pytest.raises(ValueError, match=f"eps must be a number, got {bad!r}"):
+            patched_bipartite(16, bad)
+
+
+# Each call used to truncate a float, read a bool as 0 or 1, or fail deep
+# inside with an unrelated message.
+@pytest.mark.parametrize("fn,args", [
+    pytest.param(count_cliques, (complete_graph(6), 2.5), id="count_cliques-float"),
+    pytest.param(count_cliques, (complete_graph(6), True), id="count_cliques-bool"),
+    pytest.param(count_new_cliques, (Graph(4), Graph(4), 3.0), id="count_new_cliques-float"),
+    pytest.param(Graph, (3, [(True, 2)]), id="Graph-bool-endpoint"),
+    pytest.param(Graph, (3, [(0, 2.0)]), id="Graph-float-endpoint"),
+    pytest.param(Graph, (2.5,), id="Graph-float-n"),
+    pytest.param(complete_graph, (4.0,), id="complete_graph-float"),
+    pytest.param(path_power, (5, True), id="path_power-bool"),
+    pytest.param(cycle_power, (7, True), id="cycle_power-bool"),
+    pytest.param(cycle_power, (7.0, 2), id="cycle_power-float"),
+    pytest.param(patched_bipartite, (16.0, Fraction(1, 8)), id="patched_bipartite-float"),
+    pytest.param(pair_uniforms, (5, 1.5), id="pair_uniforms-float-seed"),
+    pytest.param(sample_gnp, (5, 0.5, 1.5), id="sample_gnp-float-seed"),
+    pytest.param(sample_gnp, (5.0, 0.5, 1), id="sample_gnp-float-n"),
+])
+def test_integer_arguments_reject_bools_and_floats(fn, args):
+    with pytest.raises(TypeError, match="must be an integer, got (bool|float)"):
+        fn(*args)
+
+
+def test_integer_arguments_take_numpy_integers_by_value():
+    g = Graph(np.int64(3), [(np.int64(0), np.uint8(2))])
+    assert g == Graph(3, [(0, 2)]) and type(g.n) is int
+    assert sample_gnp(np.int64(9), 0.5, np.uint64(7)) == sample_gnp(9, 0.5, 7)
+    assert cycle_power(np.int32(7), np.int8(2)) == cycle_power(7, 2)
+    assert count_cliques(complete_graph(np.int16(6)), np.int64(3)) == 20
+
+
+def _is_operator_index(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "operator" and any(a.name == "index" for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == "index"
+            and isinstance(node.value, ast.Name) and node.value.id == "operator")
+
+
+def test_each_input_rule_has_one_home():
+    """graphs._integer is the one use of operator.index in the package, and
+    no module but graphs defines an integer or number rule of its own."""
+    uses, rules, integer = [], [], None
+    for path in sorted(Path(graphs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            uses += [path.name] * _is_operator_index(node)
+            if isinstance(node, ast.FunctionDef) and node.name in ("_integer", "_number", "_json_int"):
+                rules.append((path.name, node.name))
+                if (path.name, node.name) == ("graphs.py", "_integer"):
+                    integer = node
+    assert rules == [("graphs.py", "_integer"), ("graphs.py", "_number")]
+    assert uses == ["graphs.py"] and sum(map(_is_operator_index, ast.walk(integer))) == 1
 
 
 def test_sample_gnp_endpoints():

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hampower import hamsearch, montecarlo
 from hampower.graphs import Graph, complete_graph, cycle_power, patched_bipartite, path_power, sample_gnp, union
@@ -168,6 +170,81 @@ def test_config_json_fraction_strings_stay_valid():
     cfg = ExperimentConfig.from_json_dict(d)
     assert cfg.base.eps == Fraction(1, 8)
     assert cfg.p_grid == ExponentGrid(Fraction(9, 4), (Fraction(-1, 8), Fraction(0)))
+
+
+def test_config_p_grid_entries_checked_when_built_directly():
+    # (True, 0.5) used to be swept as p = 1 and then written as JSON that
+    # from_json_dict refuses; ("0.5",) failed with a bare TypeError
+    for grid, bad in [((True, 0.5), "True"), (("0.5",), "'0.5'"), ((0.5, None), "None")]:
+        with pytest.raises(ValueError, match=f"config p_grid entry must be a number, got {bad}"):
+            small_config(p_grid=grid)
+    cfg = small_config(p_grid=[Fraction(1, 2), 1, np.float64(0.25)])
+    assert cfg.p_grid == (0.5, 1.0, 0.25) and all(type(p) is float for p in cfg.p_grid)
+
+
+def test_config_p_grid_iterator_sweeps_every_point():
+    # validation used to use the iterator up, so the sweep ran no grid point
+    rows = run_sweep(small_config(p_grid=iter([0.5, 1.0]), trials=2)).rows
+    assert [row.p for row in rows] == [0.5, 1.0]
+
+
+def test_config_p_grid_list_equals_its_tuple_twin():
+    listed, tupled = small_config(p_grid=[0.0, 0.5]), small_config(p_grid=(0.0, 0.5))
+    assert listed == tupled and hash(listed) == hash(tupled)  # a list was unhashable
+    listed, tupled = (small_config(p_grid=ExponentGrid(Fraction(9, 4), mu)) for mu in ([0], (0,)))
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+
+def test_float_eps_and_alpha_survive_a_json_round_trip():
+    # the floats are stored as the Fractions they equal; they used to come
+    # back from JSON as Fraction(1, 10), which is not the float 0.1
+    base = BaseGraphSpec("patched_bipartite", eps=0.1)
+    assert base.eps == Fraction(0.1)
+    assert BaseGraphSpec.from_json_dict(json.loads(json.dumps(base.to_json_dict()))) == base
+    cfg = small_config(n=16, base=base, p_grid=ExponentGrid(0.1, (0,)))
+    assert cfg.p_grid.alpha == Fraction(0.1) and cfg.p_grid.mu_list == (Fraction(0),)
+    assert ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
+
+
+def test_config_warnings_point_at_the_caller():
+    # stacklevel 2 pointed at the dataclass-generated __init__ ("<string>")
+    for overrides, message in [(dict(n=30), "no search budget"), (dict(budget=50), "below n")]:
+        with pytest.warns(UserWarning, match=message) as record:
+            small_config(**overrides)
+        assert [w.filename for w in record] == [__file__]
+
+
+@st.composite
+def configs(draw):
+    """Arguments the ExperimentConfig constructor accepts, in every form it
+    takes: numpy integers, Fraction or float probabilities, and Fraction,
+    float or "p/q" eps and exponents."""
+    def integer(lo, hi):
+        k = draw(st.integers(lo, hi))
+        return k if draw(st.booleans()) else np.int64(k)
+
+    def rational(lo, hi):
+        x = draw(st.fractions(lo, hi, max_denominator=1000))
+        return draw(st.sampled_from([x, float(x), f"{x.numerator}/{x.denominator}"]))
+
+    n = integer(3, 60)
+    kind = draw(st.sampled_from(["complete", "empty", "patched_bipartite", "file"]))
+    eps = rational(Fraction(1, 1000), Fraction(1, 4)) if kind == "patched_bipartite" else None
+    base = BaseGraphSpec(kind, eps, draw(st.text(min_size=1)) if kind == "file" else None)
+    if draw(st.booleans()):
+        grid = ExponentGrid(rational(0, 3), [rational(0, 1) for _ in range(draw(st.integers(0, 4)))])
+    else:
+        grid = draw(st.lists(st.one_of(st.floats(0, 1), st.fractions(0, 1, max_denominator=1000)), max_size=6))
+    return ExperimentConfig(n=n, m=integer(1, n - 2), base=base, p_grid=grid, trials=integer(1, 1000),
+                            seed=draw(st.integers(-2**70, 2**70)) if draw(st.booleans()) else integer(0, 2**62),
+                            budget=draw(st.none() | st.integers(1, 10**7)))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the budget advice
+@given(configs())
+@settings(max_examples=200, deadline=None)
+def test_every_accepted_config_survives_a_json_round_trip(cfg):
+    assert ExperimentConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
 
 
 def test_sweep_csv_pinned():
