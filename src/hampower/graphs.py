@@ -186,7 +186,7 @@ def cycle_power(v: int, m: int) -> Graph:
 
 def eps_patch_size(n: int, eps: Fraction) -> int:
     """floor(eps * n) for the patched bipartite construction."""
-    eps = Fraction(eps)
+    n, eps = _integer("n", n), _number("eps", eps)
     return (eps.numerator * n) // eps.denominator
 
 

@@ -140,6 +140,8 @@ class ExponentGrid:
     mu_list: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if isinstance(self.mu_list, str):
+            raise TypeError(f"p_grid mu_list must be a sequence of numbers, got str {self.mu_list!r}")
         object.__setattr__(self, "alpha", _number("p_grid alpha", self.alpha))
         object.__setattr__(self, "mu_list", tuple(_number("p_grid mu_list entry", mu) for mu in self.mu_list))
 
@@ -163,6 +165,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n", "m", "trials", "seed") + (("budget",) if self.budget is not None else ()):
             object.__setattr__(self, name, _integer(f"config {name}", getattr(self, name)))
+        if isinstance(self.p_grid, str):
+            raise TypeError(f"config p_grid must be a sequence of numbers or an ExponentGrid, "
+                            f"got str {self.p_grid!r}")
         if not isinstance(self.p_grid, ExponentGrid):
             object.__setattr__(self, "p_grid", tuple(_number("config p_grid entry", p, float) for p in self.p_grid))
         if self.trials < 1:

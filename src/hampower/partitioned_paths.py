@@ -39,14 +39,24 @@ of each side, and since 4 + 3 = 7 it splits 4/3.
 clique_free() decides the same precondition as that table, but stays a
 separate scan because it stops at the first window holding a clique, where
 about 95% of the valid labelings the verifiers enumerate stop; building the
-table for each of them first was about 3x slower.
+table for each of them first was about 3x slower.  The scan runs on a label
+mask, so the verifiers drop such a labeling before building its path.
+
+The value objects (paths, segment lists, normalization steps and results,
+edge-floor rows, structure reports) are slotted dataclasses: the checks
+build one per labeling, and a slotted object is quicker to build and
+smaller.  They compare, hash, print, pickle and copy as before, but carry no
+per-instance __dict__.  For the same reason normalize() recounts the edges
+of its normal form on a label mask built straight from the run sizes.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import numpy as np
 
@@ -59,13 +69,14 @@ _OTHER = {SIDE_A: SIDE_B, SIDE_B: SIDE_A}
 _LABEL_BITS = str.maketrans(SIDE_A + SIDE_B, "01")  # bit i of a label mask: position i is B
 _BIT_LABELS = str.maketrans("01", SIDE_A + SIDE_B)
 _NOT_A_SIDE = str.maketrans("", "", SIDE_A + SIDE_B)  # deletes both sides, keeps strays
+_RUNS = re.compile(f"{SIDE_A}+|{SIDE_B}+")
 
 
 class BudgetExceeded(RuntimeError):
     """The normalization step budget (4*L^2) was exhausted."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionedPath:
     """An m-path with an A/B labeling of its positions."""
 
@@ -90,7 +101,7 @@ class PartitionedPath:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SegmentList:
     """Maximal same-side runs of a partitioned path, alternating sides."""
 
@@ -98,7 +109,7 @@ class SegmentList:
     first_side: str
 
     def __post_init__(self):
-        if any(x < 1 for x in self.sizes):
+        if self.sizes and min(self.sizes) < 1:
             raise ValueError("segment sizes must be positive")
         if self.first_side not in (SIDE_A, SIDE_B):
             raise ValueError("first_side must be A or B")
@@ -117,27 +128,16 @@ class SegmentList:
         return PartitionedPath(m, self.to_labels())
 
     def is_normalized(self, m: int) -> bool:
-        if any(x > m for x in self.sizes):
-            return False
-        return all(
-            self.sizes[i] + self.sizes[i + 1] >= m for i in range(len(self.sizes) - 1)
-        )
+        sizes = self.sizes
+        return (max(sizes, default=m) <= m
+                and min(map(add, sizes, sizes[1:]), default=m) >= m)
 
 
 def segments(path: PartitionedPath) -> SegmentList:
     """Run-length decomposition into maximal same-side segments."""
     if not path.labels:
         raise ValueError("cannot decompose an empty labeling")
-    sizes = []
-    run = 1
-    for prev, cur in zip(path.labels, path.labels[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            sizes.append(run)
-            run = 1
-    sizes.append(run)
-    return SegmentList(tuple(sizes), path.labels[0])
+    return SegmentList(tuple(map(len, _RUNS.findall(path.labels))), path.labels[0])
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def segments(path: PartitionedPath) -> SegmentList:
 
 def _label_mask(labels: str) -> int:
     """The label mask of a labeling: bit i is set iff position i is B."""
-    return int("0" + labels[::-1].translate(_LABEL_BITS), 2)  # "0": labels may be empty
+    return int(labels[::-1].translate(_LABEL_BITS) or "0", 2)  # labels may be empty
 
 
 def same_side_edge_count(path: PartitionedPath) -> int:
@@ -186,7 +186,7 @@ def same_side_edge_floor(m: int, L: int) -> Fraction:
 # Normalization procedure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizeStep:
     op: str                      # init-split | init-merge | case1 | case2-shift | case2-merge | case3
     index: int                   # segment index the operation acted at
@@ -194,7 +194,7 @@ class NormalizeStep:
     after: tuple[int, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class NormalizeResult:
     segments: SegmentList
     transcript: list[NormalizeStep]
@@ -227,7 +227,9 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
     (that would be a finding, not an expected outcome).  The returned result
     carries a transcript and both edge counts; the accounting guarantee
     original >= normalized - (m-1)^2/2 is re-verified here on every run by
-    recounting edges of the reconstructed normalized labeling.
+    recounting the edges of the normalized labeling, on a label mask built
+    from its run sizes (not from the closed form, which callers check
+    against this count).
     """
     m = path.m
     L = path.L
@@ -241,11 +243,8 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
     transcript: list[NormalizeStep] = []
     steps = 0
 
-    def spend():
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise BudgetExceeded(f"normalization exceeded {budget} steps at L={L}, m={m}")
+    def exceeded() -> BudgetExceeded:
+        return BudgetExceeded(f"normalization exceeded {budget} steps at L={L}, m={m}")
 
     def log(op: str, idx: int, before: tuple[int, ...]):
         transcript.append(NormalizeStep(op, idx, before, tuple(sizes)))
@@ -263,7 +262,7 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
 
     # Initiation: cap the first segment, then absorb a too-small prefix.
     if sizes[0] > m:
-        spend()
+        steps += 1
         split(0, "init-split")
     acc = 0
     j = 0
@@ -274,18 +273,22 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
         else:
             break
     if j >= 2:
-        spend()
+        steps += 1
         before = tuple(sizes)
         merged = sum(sizes[:j])
         new_first = first if (j - 1) % 2 == 0 else _OTHER[first]
         sizes[:j] = [merged]
         first = new_first
         log("init-merge", 0, before)
+    if steps > budget:  # the initiation's (at most two) steps
+        raise exceeded()
 
     # Iteration: segments 0..i-1 satisfy (a) and (b); examine segment i.
     i = 1
     while i < len(sizes):
-        spend()
+        steps += 1
+        if steps > budget:
+            raise exceeded()
         if sizes[i] > m:
             split(i, "case1")
             i += 1
@@ -316,7 +319,14 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
     out = SegmentList(tuple(sizes), first)
     if not out.is_normalized(m):
         raise AssertionError(f"normalization produced a non-normal list {out}")
-    normalized = same_side_edge_count(out.to_path(m))
+    # the recount: the normal form's label mask, its B runs set
+    mask, pos, b = 0, 0, first == SIDE_B
+    for x in sizes:
+        if b:
+            mask |= ((1 << x) - 1) << pos
+        pos += x
+        b = not b
+    normalized = sum(a.bit_count() for a in _agreements(mask, pos, m))
     if 2 * (normalized - original) > (m - 1) ** 2:
         raise AssertionError(
             f"edge accounting violated: slack {normalized - original} "
@@ -329,7 +339,7 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
 # Exhaustive verification of the edge floor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeFloorRow:
     L: int
     num_valid: int
@@ -380,8 +390,9 @@ def iter_valid_label_masks(L: int, m: int):
 def mask_to_labels(x: int, L: int) -> str:
     """The labeling of the low L bits of x (bit i set: position i is B)."""
     full = (1 << L) - 1
-    # the sentinel bit L fixes the digit count at L + 1 (L may be 0)
-    return format((x & full) | (full + 1), "b")[:0:-1].translate(_BIT_LABELS)
+    # the sentinel bit L fixes the digit count at L + 1 (L may be 0); bin()
+    # puts "0b" before it
+    return bin((x & full) | (full + 1))[:2:-1].translate(_BIT_LABELS)
 
 
 def check_edge_floor_exhaustive(m: int, L_max: int) -> list[EdgeFloorRow]:
@@ -443,12 +454,16 @@ def clique_free(path: PartitionedPath, clique_size: int) -> bool:
     """
     if clique_size < 1:
         raise ValueError(f"clique_size must be >= 1, got {clique_size}")
-    width = min(path.m + 1, path.L)
-    x = _label_mask(path.labels)
+    return _mask_clique_free(_label_mask(path.labels), len(path.labels), path.m, clique_size)
+
+
+def _mask_clique_free(x: int, L: int, m: int, clique_size: int) -> bool:
+    """clique_free on the label mask x of length L (clique_size >= 1)."""
+    width = min(m + 1, L)
     window = (1 << width) - 1
-    for i in range(path.L - width + 1):
-        b = (x >> i & window).bit_count()
-        if b >= clique_size or width - b >= clique_size:
+    low = width - clique_size
+    for i in range(L - width + 1):
+        if not low < (x >> i & window).bit_count() < clique_size:
             return False
     return True
 
@@ -463,21 +478,24 @@ def _far_counts(labels: str, m: int) -> tuple[list[int], list[int]]:
     side s; far[s][0] is the size of side s.  One popcount per position, then
     a cumulative histogram per side.
     """
-    L = len(labels)
-    x = _label_mask(labels)
-    masks = (~x & ((1 << L) - 1), x)
+    b = _label_mask(labels)
+    a = ~b & ((1 << len(labels)) - 1)
     window = (1 << m) - 1
-    far = ([0] * (m + 2), [0] * (m + 2))
-    for i in range(L):
-        s = x >> i & 1
-        far[s][(masks[s] >> (i + 1) & window).bit_count()] += 1
+    far = far_a, far_b = [0] * (m + 2), [0] * (m + 2)
+    for side in labels:  # shifted, bit 0 of a and b is the next position
+        a >>= 1
+        b >>= 1
+        if side == SIDE_B:
+            far_b[(b & window).bit_count()] += 1
+        else:
+            far_a[(a & window).bit_count()] += 1
     for hist in far:
         for t in range(m, -1, -1):
             hist[t] += hist[t + 1]
     return far
 
 
-@dataclass
+@dataclass(slots=True)
 class M6Report:
     """Structural counts for one valid labeling of a 6-path with no same-side K_5."""
 
@@ -517,6 +535,7 @@ def _structure_core(path: PartitionedPath, m: int, k: int,
     if path.m != m:
         raise ValueError(f"this check applies to {m}-paths, got m={path.m}")
     clique_size = FORBIDDEN_CLIQUE_SIZE[m]
+    L = len(path.labels)
     far = _far_counts(path.labels, m)
     # a same-side K_s has a least vertex i with c_i >= s - 1, and the first
     # position i of a run of m + 1 has c_i = m >= clique_size - 1 (both
@@ -524,17 +543,21 @@ def _structure_core(path: PartitionedPath, m: int, k: int,
     # precondition
     if far[0][clique_size - 1] or far[1][clique_size - 1]:
         note = f"precondition violated: invalid labeling or same-side K_{clique_size} present"
-        return None, {"L": path.L, "precondition_ok": False, "notes": [note]}
-    total = sum(f[t] for f in far for t in range(1, k + 1))
-    expected = sum(max(0, f[0] - t) for f in far for t in range(1, k + 1))
-    exact = total == k * path.L - k * (k + 1)
+        return None, {"L": L, "precondition_ok": False, "notes": [note]}
+    far_a, far_b = far
+    a, b = far_a[0], far_b[0]
+    total = sum(far_a[1 : k + 1]) + sum(far_b[1 : k + 1])
+    # sum_{t=1..k} max(0, s - t) = j*s - j(j+1)/2 with j = min(s, k)
+    ja, jb = min(a, k), min(b, k)
+    expected = ja * a - ja * (ja + 1) // 2 + jb * b - jb * (jb + 1) // 2
+    exact = total == k * L - k * (k + 1)
     identity_ok = total == expected
     notes = []
-    if min(far[0][0], far[1][0]) >= k and not exact:
+    if min(a, b) >= k and not exact:
         identity_ok = False
         notes.append(f"{label} total differs from {k}L-{k * (k + 1)} despite nondegenerate sides")
     return far, {
-        "L": path.L, "precondition_ok": True, "a_count": far[0][0], "b_count": far[1][0],
+        "L": L, "precondition_ok": True, "a_count": a, "b_count": b,
         names[0]: total, names[1]: expected, names[2]: exact,
         # each (side, t) term counts at most its pairs as edges, so the totals
         # agree exactly when every t-far pair with t <= k is an edge
@@ -565,7 +588,7 @@ def m6_structure_check(path: PartitionedPath) -> M6Report:
     return M6Report(**fields, far3_edges=far3, far3_bound_ok=4 * far3 >= path.L - 6, windows_ok=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class M9Report:
     """Structural counts for one valid labeling of a 9-path with no same-side K_7."""
 

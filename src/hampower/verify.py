@@ -84,11 +84,10 @@ def structure(m: int, lmax: int) -> Check:
         pp.PartitionedPath(m, pp.mask_to_labels(mask, L))
         for L in range(2, lmax + 1)
         for mask in pp.iter_valid_label_masks(L, m)
+        if pp._mask_clique_free(mask, L, m, clique_size)
     )
     checked, bad = 0, None
     for p in labelings:
-        if not pp.clique_free(p, clique_size):
-            continue
         checked += 1
         if not check(p).ok:
             bad = p.labels

@@ -163,6 +163,15 @@ def test_patched_bipartite_eps_forms():
             patched_bipartite(16, bad)
 
 
+# eps_patch_size reads eps as patched_bipartite does ("1/0" was a
+# ZeroDivisionError, True was read as 1)
+@pytest.mark.parametrize("bad", ["1/0", "0.1e", True, None])
+def test_eps_patch_size_rejects_non_numbers(bad):
+    assert eps_patch_size(16, "1/8") == eps_patch_size(16, 0.125) == 2
+    with pytest.raises(ValueError, match=f"eps must be a number, got {bad!r}"):
+        eps_patch_size(16, bad)
+
+
 # Each call used to truncate a float, read a bool as 0 or 1, or fail deep
 # inside with an unrelated message.
 @pytest.mark.parametrize("fn,args", [
@@ -177,6 +186,8 @@ def test_patched_bipartite_eps_forms():
     pytest.param(cycle_power, (7, True), id="cycle_power-bool"),
     pytest.param(cycle_power, (7.0, 2), id="cycle_power-float"),
     pytest.param(patched_bipartite, (16.0, Fraction(1, 8)), id="patched_bipartite-float"),
+    pytest.param(eps_patch_size, (16.0, Fraction(1, 8)), id="eps_patch_size-float"),
+    pytest.param(eps_patch_size, (True, Fraction(1, 2)), id="eps_patch_size-bool"),
     pytest.param(pair_uniforms, (5, 1.5), id="pair_uniforms-float-seed"),
     pytest.param(sample_gnp, (5, 0.5, 1.5), id="sample_gnp-float-seed"),
     pytest.param(sample_gnp, (5.0, 0.5, 1), id="sample_gnp-float-n"),

@@ -182,6 +182,15 @@ def test_config_p_grid_entries_checked_when_built_directly():
     assert cfg.p_grid == (0.5, 1.0, 0.25) and all(type(p) is float for p in cfg.p_grid)
 
 
+def test_string_grids_are_not_read_character_by_character():
+    # "01" used to be accepted as mu_list (0, 1); "0.5" failed naming the character '0'
+    with pytest.raises(TypeError, match="p_grid mu_list must be a sequence of numbers, got str '01'"):
+        ExponentGrid(Fraction(9, 4), "01")
+    with pytest.raises(TypeError, match="config p_grid must be a sequence of numbers or an "
+                                        "ExponentGrid, got str '0.5'"):
+        small_config(p_grid="0.5")
+
+
 def test_config_p_grid_iterator_sweeps_every_point():
     # validation used to use the iterator up, so the sweep ran no grid point
     rows = run_sweep(small_config(p_grid=iter([0.5, 1.0]), trials=2)).rows

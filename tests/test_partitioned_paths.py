@@ -1,6 +1,8 @@
 """Partitioned paths: segments, edge counts, normalization, structure checks."""
 
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -223,6 +225,73 @@ def test_normalize_contract_random():
         assert res.segments.is_normalized(m)
         assert normalized_edge_closed_form(res.segments, m) == res.normalized_edges
         assert 2 * res.slack <= (m - 1) ** 2
+
+
+# Golden normalization runs: every valid labeling with m in {2, 3} and
+# L <= 12, then 2000 seeded random valid labelings with m in 2..9 and
+# L <= 200 (drawn as in criterion 8), as the digest of each run's segments,
+# transcript, edge counts and step count.
+GOLDEN_NORMALIZE = (7276, "7b1a8e330a160a1d37208ed43b5901e576b444a484cc5024b8395401d3a4e5f7")
+
+
+def golden_normalize_paths():
+    for m in (2, 3):
+        for L in range(1, 13):
+            for mask in iter_valid_label_masks(L, m):
+                yield PartitionedPath(m, mask_to_labels(mask, L))
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        m = rng.randint(2, 9)
+        yield random_valid_path(rng, m, rng.randint(1, 200))
+
+
+def normalize_record(res) -> tuple:
+    return (res.segments.sizes, res.segments.first_side,
+            [(s.op, s.index, s.before, s.after) for s in res.transcript],
+            res.original_edges, res.normalized_edges, res.steps)
+
+
+def test_golden_normalize_runs():
+    h = hashlib.sha256()
+    count = 0
+    for p in golden_normalize_paths():
+        h.update(f"{normalize_record(normalize(p))!r}\n".encode())
+        count += 1
+    assert (count, h.hexdigest()) == GOLDEN_NORMALIZE
+
+
+def test_normalize_budget_is_exact():
+    # a budget of exactly the steps taken passes; one step fewer raises
+    rng = random.Random(23)
+    for _ in range(40):
+        m = rng.randint(2, 9)
+        p = random_valid_path(rng, m, rng.randint(1, 200))
+        steps = normalize(p).steps
+        assert normalize(p, budget=steps).steps == steps
+        if steps:
+            with pytest.raises(BudgetExceeded, match=f"exceeded {steps - 1} steps"):
+                normalize(p, budget=steps - 1)
+
+
+def test_value_objects_are_slotted_and_round_trip():
+    p = PartitionedPath(6, "AAAABBB" * 2)
+    res = normalize(PartitionedPath(4, "AAAABABAAAA"))
+    objects = [
+        p,
+        segments(p),
+        res.transcript[0],
+        res,
+        check_edge_floor_exhaustive(3, 6)[-1],
+        m6_structure_check(p),
+        m6_structure_check(PartitionedPath(6, "AAAAA")),
+        m9_structure_check(PartitionedPath(9, ("AAAAA" + "BBBBB") * 2)),
+    ]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert twin == obj and twin is not obj
+            if type(obj).__hash__ is not None:  # the frozen classes
+                assert hash(twin) == hash(obj)
 
 
 def test_normalized_term_sum_dominates_floor():
