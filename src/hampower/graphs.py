@@ -106,16 +106,8 @@ class Graph:
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def min_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("empty graph has no degrees")
-        return min(r.bit_count() for r in self.adj)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -175,13 +167,7 @@ def cycle_power(v: int, m: int) -> Graph:
     v, m = _integer("v", v), _integer("m", m)
     if v < 3 or m < 1:
         raise ValueError("cycle_power needs v >= 3 and m >= 1")
-    edges = set()
-    for i in range(v):
-        for d in range(1, min(m, v - 1) + 1):
-            j = (i + d) % v
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-    return Graph(v, edges)
+    return Graph(v, ((i, (i + d) % v) for i in range(v) for d in range(1, min(m, v - 1) + 1)))
 
 
 def eps_patch_size(n: int, eps: Fraction) -> int:
@@ -308,10 +294,6 @@ def count_cliques(g: Graph, s: int) -> int:
     s = _integer("clique size", s)
     if s < 1:
         raise ValueError("clique size must be >= 1")
-    if s == 1:
-        return g.n
-    if s > g.n:
-        return 0
     return _cliques_in(g.adj, (1 << g.n) - 1, s)
 
 

@@ -19,7 +19,8 @@ tractable:
   * failure memoization: completability from a state depends only on the
     used set, the ordered last m vertices, and the head (wrap constraints
     plus the reflection pivot), so exhausted states are recorded as packed
-    integers and never re-explored.
+    integers and never re-explored.  The memo holds one head's states at a
+    time, so a key needs only the used set and the last m vertices.
 
 A parent settles each child before descending into it: a child with no
 candidate for its slot is dead, and a child whose memo key is already in the
@@ -27,8 +28,8 @@ failure set is memoized; neither is called.  So every call is a live state,
 and the memo holds only exhausted live states (a dead state costs the parent
 one AND to recognise, less than a memo lookup).  This decides no node count:
 a node is counted when the parent places a vertex, whether or not the child
-is then called.  Only the memo cap (_MEMO_CAP stored keys) sees the
-difference: it counts live states alone.
+is then called.  Only the memo cap sees the difference: it counts live
+states alone.
 
 Each node does little besides bit operations.  Everything that depends only
 on the position (the window slots a child inherits, the head slots that wrap
@@ -36,18 +37,26 @@ round to it, the forward check's (slot, needed) pairs) sits in tables built
 once per (n, m) and cached; a check that needs at most one partner is implied
 by the candidate set and left out.  A call ANDs the rows its children share
 with the unused set once, and a child's candidates are that AND with its own
-row.  A memo key has three fields, high to low: the unused set, the head, and
-the tail (the last m labels), each label in (n - 1).bit_length() bits, so
-keys stay injective at every n.  A call forms one key base for all its
-children: its own key with the tail shifted up by one label.  A child's key is
-that base with the child's bit cleared from the unused field and its label
-put in the tail.  No two paths reach the same state before slot m + 2, so
-keys need the head only from there on: the call at slot m + 1 reads the head
-off its tail (slots 1 .. m), and its descendants inherit it through their
-keys.  The order is written only on the way back up
-from a success, and rows[pos] only for a child that is called.  The last slot
-runs no candidate loop: it keeps the candidates above slot 1 (reflection) and
-places the lowest, one node.
+row.
+
+The head is slots 1 .. max(m - 1, 1): the slots besides the anchor that the
+last m slots wrap round to, and slot 1, the reflection pivot.  Every state
+with a given head lies below the one call that follows the head's last slot,
+and depth-first search finishes that call's subtree before it places another
+head.  So that call empties the failure set, losing no hit, and reads the
+pivot off its tail; _MEMO_CAP bounds the keys stored under the current head.
+
+A memo key has two fields, high to low: the unused set and the tail (the
+last m labels), each label in (n - 1).bit_length() bits, so keys stay
+injective at every n; the size of the unused set fixes the slot, so keys of
+different slots never meet.  The root's key holds the anchor alone in its
+tail, and a call forms one key base for all its children: its own key with
+the tail shifted up by one label.  A child's key is that base with the
+child's bit cleared from the unused field and its label put in the tail.
+The order is written only on the way back up from a success, and rows[pos]
+only for a child that is called.  The last slot runs no candidate loop: it
+keeps the candidates above slot 1 (reflection) and places the lowest, one
+node.
 
 Verdicts are exact: Found comes with a verified witness, NotFound only after
 exhausting the pruned tree, and a spent node budget yields Unknown, never a
@@ -175,15 +184,12 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
     adj = induced_subgraph(g, perm).adj
 
     carry, checks = _tables(n, m)
-    # memo key fields, high to low: unused set, head, tail (last m labels);
-    # each label takes `width` bits, enough for every label 0 .. n - 1
+    # memo key fields, high to low: unused set, tail (last m labels); each
+    # label takes `width` bits, enough for every label 0 .. n - 1
     width = (n - 1).bit_length()
     tail_shift = m * width
     tail_mask = (1 << tail_shift) - 1
     heads = max(m - 1, 1)  # head slots 1 .. heads: the wrap slots, slot 1 the pivot
-    head_shift = (m - heads) * width  # the head is slot m + 1's tail shifted this far down
-    pivot_shift = tail_shift + (heads - 1) * width
-    rest_shift = tail_shift + heads * width
     label_mask = (1 << width) - 1
     limit = budget if budget is not None else sys.maxsize  # no search gets near it
     last = n - 1
@@ -193,21 +199,21 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
     order[0] = anchor
     rows[0] = adj[anchor]
     nodes = 0
+    pivot = 0  # slot 1's label, set when the head is placed
     failed: set[int] = set()
 
-    def extend(pos: int, unused: int, cand: int, tail: int, key: int | None) -> bool:
+    def extend(pos: int, unused: int, cand: int, tail: int, key: int) -> bool:
         # cand: the unused vertices adjacent to every vertex slot pos must
         # meet, empty only at the root; tail: the last m labels; key: this
-        # state's memo key from slot m + 2 on.  The parent has ruled out a
-        # dead state (no candidate) and a memoized one, so every call is live.
-        nonlocal nodes
-        if pos <= m + 1:
-            # No two paths reach the same state before slot m + 2, so the
-            # keys up to here never hit, and the head field is free to use:
-            # from slot m + 1 on it holds the head, read off the tail.
-            key = (unused << rest_shift) | ((tail >> head_shift) << tail_shift) | tail
+        # state's memo key.  The parent has ruled out a dead state (no
+        # candidate) and a memoized one, so every call is live.
+        nonlocal nodes, pivot
+        if pos == heads + 1:
+            # a new head: no state of an earlier head recurs below it
+            failed.clear()
+            pivot = (tail >> (heads - 1) * width) & label_mask  # slot 1
         if pos == last:
-            cand &= -(2 << ((key >> pivot_shift) & label_mask))  # reflection: above slot 1
+            cand &= -(2 << pivot)  # reflection: above slot 1
             if cand:
                 nodes += 1
                 if nodes > limit:
@@ -239,7 +245,7 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
                 child = keep & row
                 if not child:
                     continue  # dead: nothing can fill slot nxt
-                sub_key = (base ^ (bit << rest_shift)) | v
+                sub_key = (base ^ (bit << tail_shift)) | v
                 if sub_key in failed:
                     continue
                 rows[pos] = row
@@ -252,7 +258,7 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
 
     try:
         unused = ((1 << n) - 1) ^ (1 << anchor)
-        if extend(1, unused, rows[0] & unused, anchor, None):
+        if extend(1, unused, rows[0] & unused, anchor, (unused << tail_shift) | anchor):
             witness = tuple(perm[v] for v in order)
             if not verify_witness(g, m, witness):
                 raise AssertionError(f"search produced an order that is not an m={m} cycle power: {witness}")

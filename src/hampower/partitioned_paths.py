@@ -114,10 +114,6 @@ class SegmentList:
         if self.first_side not in (SIDE_A, SIDE_B):
             raise ValueError("first_side must be A or B")
 
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
     def side(self, i: int) -> str:
         return self.first_side if i % 2 == 0 else _OTHER[self.first_side]
 

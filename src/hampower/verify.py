@@ -12,8 +12,6 @@ from fractions import Fraction
 from . import braids, density, thresholds
 from . import partitioned_paths as pp
 
-BRUTE_FORCE_MAX_VERTICES = 15  # `balanced` skips larger braids
-
 # power m -> structure check; the clique size it forbids is pp.FORBIDDEN_CLIQUE_SIZE[m]
 STRUCTURE_CHECKS = {6: pp.m6_structure_check, 9: pp.m9_structure_check}
 
@@ -114,13 +112,14 @@ def tail_margins(ell_max: int, t_max: int) -> Check:
 
 def balanced(ell_max: int, t_max: int) -> Check:
     """Brute-force densities of braid(ell, r, t) for ell <= ell_max, t <= t_max
-    (checked: braids, one detail line each): strictly balanced at the
-    closed form when ell < r(r+1), maximum ell/2 (a clique) otherwise."""
+    and t * ell <= density.BRUTE_CAP (checked: braids, one detail line each):
+    strictly balanced at the closed form when ell < r(r+1), maximum ell/2 (a
+    clique) otherwise."""
     lines, bad = [], None
     for ell in range(2, ell_max + 1):
         for r in range(1, ell + 1):
             for t in range(2, t_max + 1):
-                if t * ell > BRUTE_FORCE_MAX_VERTICES:
+                if t * ell > density.BRUTE_CAP:
                     continue
                 g = braids.braid(ell, r, t)
                 rep = density.max_density_brute(g)

@@ -367,7 +367,7 @@ GOLDEN_CLI_SHA256 = {
     "verify-tables-text": "8acbb76f2e2e4026d7a59f8374d9e73e73ad59d3657766072e5be680923823e9",
     "verify-tables-json": "6a0a9feefb43b76cc4b2ae0bc5de5e51c55beec349fc1f1b8d6857d6b22b8e64",
     "verify-regime": "44e15afd24f423892b7b839e3163530a1f19ac0c9808d4e4d6e31a32df0d065b",
-    "verify-balanced": "342346a0a09f675d5f4f7be1b8960a60678d308cf8fc23c586376a05c571892c",
+    "verify-balanced": "0f9bdf19dfd862912f2936e863e4c5d028b01572b766ebf28c304f703f48728b",
     "verify-balanced-small": "bfd3631f1dd8114f480c1406bcb14f8e5c6ef2e3e4d0b34a007c8ccd77101664",
     "verify-tail-margins": "b7585f1d529c4a8273e8b7d10167a2107215debb08a7be294eaea1ffd87f52d5",
     "verify-edge-floor": "bab2f421670332313ca59471ba4caf752091ab4f79cc85525e8efd69e23a3401",

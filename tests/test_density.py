@@ -41,7 +41,7 @@ def naive_max_density(g: Graph) -> Fraction:
     best = Fraction(0)
     for k in range(2, g.n + 1):
         for sub in combinations(range(g.n), k):
-            e = sum(1 for u, v in combinations(sub, 2) if g.has_edge(u, v))
+            e = sum(1 for u, v in combinations(sub, 2) if g.adj[u] >> v & 1)
             best = max(best, Fraction(e, k - 1))
     return best
 

@@ -368,7 +368,7 @@ def test_memo_cap_keeps_verdicts(monkeypatch):
         base = Graph(n, [(u, v) for u in range(a) for v in range(a, n)])
         g = union(base, sample_gnp(n, 0.15 * m + rng.choice([0.0, 0.1, 0.2]), 52000 + i))
         corpus.append((g, m, contains_ham_power(g, m).nodes_expanded, brute_force_contains(g, m)))
-    for cap in (0, 50):
+    for cap in (0, 5):
         monkeypatch.setattr(hamsearch, "_MEMO_CAP", cap)
         grew = 0
         for g, m, nodes, found in corpus:
@@ -379,6 +379,16 @@ def test_memo_cap_keeps_verdicts(monkeypatch):
                 assert verify_witness(g, m, out.witness)
             grew += out.nodes_expanded > nodes
         assert grew, cap  # the cap was reached and cost nodes
+
+
+def test_memo_cap_bounds_one_head(monkeypatch):
+    # The memo holds one head's states at a time, so the cap bounds that
+    # memo alone.  This row stores at most 1,003 keys under one head and
+    # 11,406 in all, so a cap of 3,000 costs it no node.
+    monkeypatch.setattr(hamsearch, "_MEMO_CAP", 3000)
+    g = union(patched_bipartite(14, Fraction(1, 12)), sample_gnp(14, 0.08, 14000))
+    out = contains_ham_power(g, 2)
+    assert (out.verdict, out.nodes_expanded) == (NOT_FOUND, 27669)
 
 
 def test_golden_budget_cut():

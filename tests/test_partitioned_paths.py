@@ -209,7 +209,7 @@ def test_normalize_contract_exhaustive_small():
                 p = PartitionedPath(m, mask_to_labels(mask, L))
                 res = normalize(p)
                 assert res.segments.is_normalized(m)
-                assert res.segments.total == L
+                assert sum(res.segments.sizes) == L
                 assert normalized_edge_closed_form(res.segments, m) == res.normalized_edges
                 assert 2 * res.slack <= (m - 1) ** 2
                 assert res.steps <= 4 * L * L
@@ -302,7 +302,7 @@ def test_normalized_term_sum_dominates_floor():
         p = random_valid_path(rng, m, rng.randint(1, 80))
         seg = normalize(p).segments
         total = sum(x * braid_density_limit(m, x) for x in seg.sizes)
-        floor = braid_density_limit(m, optimal_ell(m)) * seg.total
+        floor = braid_density_limit(m, optimal_ell(m)) * sum(seg.sizes)
         assert total >= floor
 
 
