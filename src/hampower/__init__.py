@@ -10,8 +10,8 @@ from .graphs import (
     Graph,
     complete_graph,
     count_cliques,
-    count_new_cliques,
     cycle_power,
+    gnp_process,
     induced_subgraph,
     load_edge_list,
     parse_edge_list,

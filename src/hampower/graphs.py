@@ -4,14 +4,15 @@ Every neighborhood is a Python int used as a bitset, and these rows are the
 only stored form of a graph: the hot operations everywhere else in the
 package (intersecting neighborhoods during clique counting and cycle-power
 search, unions of graphs) are word-parallel ANDs and ORs.  The edge set is
-derived from the rows on first use.  Random graphs are thresholded straight
-into rows through numpy bit packing, with no edge list in between.  Graphs
-are immutable after construction and safe to share across workers.
+derived from the rows on first use.  Graphs are immutable after
+construction and safe to share across workers.
 
-Cliques are counted either from scratch (`count_cliques`) or, for a graph
-that only adds edges to another, as the cliques through the added edges
-(`count_new_cliques`); the coupled sweep counts each trial's first graph
-the first way and every larger one the second.
+Random graphs come from one walk (`gnp_process`): the pairs whose uniform
+lies below the largest p are added to the rows one at a time in increasing
+order of their uniforms, as in a random graph process, and the rows are
+copied out at each p.  Each added edge uv also closes the K_s that contain
+u and v, the (s-2)-cliques among their common neighbors, so the walk keeps
+a running K_s count; `count_cliques` counts a given graph from scratch.
 
 The package's two argument rules live here too: `_integer` (an int, numpy
 integers by value, never a bool or a float) and `_number` (a number, never
@@ -120,11 +121,15 @@ class Graph:
 
 
 def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
-    """Rows of an n x n boolean matrix as ints: bit j of row i is bits[i, j]."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    return tuple(int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed)))
+    """Rows of a k x n boolean matrix as ints: bit j of row i is bits[i, j].
+    The bits go through little-endian 64-bit words, one column at a time."""
+    k, n = bits.shape
+    words = np.zeros((k, max(1, -(-n // 64))), dtype="<u8")
+    words.view(np.uint8)[:, : -(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    rows = words[:, 0].tolist()
+    for w in range(1, words.shape[1]):
+        rows = [r | x << 64 * w for r, x in zip(rows, words[:, w].tolist())]
+    return tuple(rows)
 
 
 def _unpack_rows(rows, n: int) -> np.ndarray:
@@ -218,28 +223,45 @@ def pair_uniforms(n: int, seed: int) -> np.ndarray:
     return np.random.Generator(bg).random(n * (n - 1) // 2)
 
 
-def coupled_gnp(n: int, uniforms: np.ndarray):
-    """The coupled family p -> G(n, p) over one array of pair uniforms.
+def gnp_process(n: int, uniforms: np.ndarray, ps, s: int) -> tuple[list[Graph], list[int]]:
+    """The graph at each p of the nondecreasing list ps, and its K_s count.
 
-    `uniforms` is pair_uniforms(n, seed) (row-major upper triangle).  The
-    returned function maps p in [0, 1] to the graph keeping each pair whose
-    uniform lies below p, so the graphs are nested in p.  The uniforms are
-    laid out once as a symmetric n x n matrix (diagonal 1, never below p);
-    each p then costs one comparison and one bit packing of that matrix.
+    `uniforms` is pair_uniforms(n, seed) (row-major upper triangle); the
+    graph at p keeps each pair whose uniform lies below p, so the graphs are
+    nested.  The pairs below the largest p are added one at a time in
+    increasing order of their uniforms (ties in pair order), and the rows
+    are copied out at each p's cut-off.  Edge uv closes exactly the K_s of
+    the current graph that contain u and v, the (s-2)-cliques among their
+    common neighbors, so each clique is counted once, when its last edge goes
+    in.  For s = 3 an edge closes one triangle per common neighbor.
     """
+    n, s = _integer("n", n), _integer("clique size", s)
     if len(uniforms) != n * (n - 1) // 2:
         raise ValueError(f"need {n * (n - 1) // 2} pair uniforms for n={n}, got {len(uniforms)}")
-    matrix = np.ones((n, n))
-    iu = np.triu_indices(n, k=1)
-    matrix[iu] = uniforms
-    matrix.T[iu] = uniforms
-
-    def at(p: float) -> Graph:
+    if s < 2:
+        raise ValueError(f"clique size must be >= 2, got {s}")
+    for p in ps:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        return Graph._from_rows(_pack_rows(matrix < p))
-
-    return at
+    if any(a > b for a, b in zip(ps, ps[1:])):
+        raise ValueError(f"p list must be nondecreasing, got {list(ps)}")
+    kept = np.flatnonzero(uniforms < (ps[-1] if ps else 0.0))
+    order = kept[np.argsort(uniforms[kept], kind="stable")]
+    cuts = np.searchsorted(uniforms[order], ps, side="left").tolist()
+    iu, iv = np.triu_indices(n, k=1)
+    us, vs = iu[order].tolist(), iv[order].tolist()
+    rows, bits = [0] * n, [1 << v for v in range(n)]
+    graphs, counts, total, done = [], [], 0, 0
+    for cut in cuts:
+        for u, v in zip(us[done:cut], vs[done:cut]):
+            ru, rv = rows[u], rows[v]
+            common = ru & rv
+            total += common.bit_count() if s == 3 else _cliques_in(rows, common, s - 2)
+            rows[u], rows[v] = ru | bits[v], rv | bits[u]
+        done = cut
+        graphs.append(Graph._from_rows(rows))
+        counts.append(total)
+    return graphs, counts
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
@@ -248,7 +270,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     Identical (n, p, seed) triples give identical edge sets.  For a fixed
     seed the edge set at p' <= p is a subset of the edge set at p.
     """
-    return coupled_gnp(n, pair_uniforms(n, seed))(p)
+    return gnp_process(n, pair_uniforms(n, seed), [p], 2)[0][0]
 
 
 def union(g: Graph, h: Graph) -> Graph:
@@ -295,42 +317,6 @@ def count_cliques(g: Graph, s: int) -> int:
     if s < 1:
         raise ValueError("clique size must be >= 1")
     return _cliques_in(g.adj, (1 << g.n) - 1, s)
-
-
-def count_new_cliques(old: Graph, new: Graph, s: int) -> int:
-    """Number of s-vertex cliques of `new` that are not cliques of `old`.
-
-    `old` must be a subgraph of `new` on the same vertices, and then this
-    equals count_cliques(new, s) - count_cliques(old, s).  The edges `new`
-    adds are inserted one at a time into a copy of `old`'s rows; edge uv
-    closes exactly the cliques of the current graph that contain u and v,
-    that is the (s-2)-cliques among their common neighbors.  Each new clique
-    is counted once, when its last edge goes in, so the cost follows the
-    cliques through new edges rather than all of `new`'s cliques.  For s = 3
-    an edge closes one triangle per common neighbor, counted inline.
-    """
-    if old.n != new.n:
-        raise ValueError(f"vertex counts differ: {old.n} vs {new.n}")
-    s = _integer("clique size", s)
-    if s < 1:
-        raise ValueError("clique size must be >= 1")
-    if any(a & ~b for a, b in zip(old.adj, new.adj)):
-        raise ValueError("old graph has an edge the new graph lacks")
-    if s == 1:
-        return 0
-    cur = list(old.adj)
-    total = 0
-    for u, row in enumerate(new.adj):
-        added = (row & ~cur[u]) >> (u + 1) << (u + 1)  # new edges uv with v > u
-        while added:
-            bit = added & -added
-            added ^= bit
-            v = bit.bit_length() - 1
-            common = cur[u] & cur[v]
-            total += common.bit_count() if s == 3 else _cliques_in(cur, common, s - 2)
-            cur[u] |= bit
-            cur[v] |= 1 << u
-    return total
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

@@ -37,8 +37,7 @@ from .graphs import (
     _number,
     complete_graph,
     count_cliques,
-    count_new_cliques,
-    coupled_gnp,
+    gnp_process,
     load_edge_list,
     pair_uniforms,
     patched_bipartite,
@@ -300,21 +299,17 @@ def _decide_chain(chain: list[Graph], m: int, budget: int | None) -> list[str]:
 def _run_trial(config: ExperimentConfig, base: Graph, t: int) -> list[tuple[str, int]]:
     """(verdict, random-part clique count) at each grid point of trial t.
 
-    Sorting the grid by p (ties in grid order) orders the random parts and
-    their unions with the base as a nested chain.  `_decide_chain` decides
-    the unions; one walk up the parts counts K_{m+1}, with `count_cliques` on
-    the first and, at each step, `count_new_cliques` through the edges gained
-    (a repeated p adds 0).
+    The grid sorted by p (ties in grid order) is walked once by
+    `gnp_process`: trial t's pairs are added in increasing order of their
+    uniforms, and the random part and its running K_{m+1} count are read
+    off at each p.  The parts, and so their unions with the base, form a
+    nested chain, which `_decide_chain` decides.
     """
     ps = config.probabilities()
-    gnp = coupled_gnp(config.n, pair_uniforms(config.n, trial_seed(config.seed, t)))
     order = sorted(range(len(ps)), key=lambda i: (ps[i], i))
-    parts = [gnp(ps[i]) for i in order]
+    uniforms = pair_uniforms(config.n, trial_seed(config.seed, t))
+    parts, cliques = gnp_process(config.n, uniforms, [ps[i] for i in order], config.m + 1)
     verdicts = _decide_chain([union(base, part) for part in parts], config.m, config.budget)
-
-    cliques = [count_cliques(parts[0], config.m + 1)] if parts else []
-    for below, part in zip(parts, parts[1:]):
-        cliques.append(cliques[-1] + count_new_cliques(below, part, config.m + 1))
     # back to grid order: position pos of the chain is grid point order[pos]
     return [cell for _, cell in sorted(zip(order, zip(verdicts, cliques)))]
 
@@ -361,6 +356,10 @@ class CliqueStats:
 def clique_stats(n: int, p: float, m: int, trials: int, seed: int) -> CliqueStats:
     """Empirical mean count of K_{m+1} in the random graph alone, next to the
     analytic first-moment value."""
+    n, m = _integer("n", n), _integer("m", m)
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     total = 0

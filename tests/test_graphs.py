@@ -18,10 +18,9 @@ from hampower.graphs import (
     Graph,
     complete_graph,
     count_cliques,
-    count_new_cliques,
-    coupled_gnp,
     cycle_power,
     eps_patch_size,
+    gnp_process,
     induced_edge_count,
     induced_subgraph,
     parse_edge_list,
@@ -185,7 +184,7 @@ def test_eps_patch_size_rejects_non_numbers(bad):
 @pytest.mark.parametrize("fn,args", [
     pytest.param(count_cliques, (complete_graph(6), 2.5), id="count_cliques-float"),
     pytest.param(count_cliques, (complete_graph(6), True), id="count_cliques-bool"),
-    pytest.param(count_new_cliques, (Graph(4), Graph(4), 3.0), id="count_new_cliques-float"),
+    pytest.param(gnp_process, (4, pair_uniforms(4, 1), [0.5], 3.0), id="gnp_process-float"),
     pytest.param(Graph, (3, [(True, 2)]), id="Graph-bool-endpoint"),
     pytest.param(Graph, (3, [(0, 2.0)]), id="Graph-float-endpoint"),
     pytest.param(Graph, (2.5,), id="Graph-float-n"),
@@ -364,26 +363,81 @@ def test_count_cliques_naive_agreement_to_12():
             assert count_cliques(g, s) == naive_clique_count(g, s)
 
 
-def test_count_new_cliques_is_the_difference_of_counts():
-    # nested pairs old <= new from one coupled family, including old == new,
-    # an empty old (p = 0) and a complete new (p = 1)
-    for n in range(31):
-        gnp = coupled_gnp(n, pair_uniforms(n, 700 + n))
-        for a, b in ((0.0, 0.0), (0.4, 0.4), (0.0, 0.35), (0.2, 0.5), (0.5, 1.0), (0.0, 1.0)):
-            old, new = gnp(a), gnp(b)
-            for s in range(1, 7):
-                expected = count_cliques(new, s) - count_cliques(old, s)
-                assert count_new_cliques(old, new, s) == expected, (n, a, b, s)
+def old_pack_rows(bits: np.ndarray) -> tuple[int, ...]:
+    """Oracle: the byte-slicing packer the word-column one replaced."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return tuple(int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed)))
 
 
-def test_count_new_cliques_rejects_bad_input():
-    small, big = sample_gnp(10, 0.3, 1), sample_gnp(10, 0.6, 1)
-    with pytest.raises(ValueError, match="vertex counts differ"):
-        count_new_cliques(Graph(9), big, 3)
-    with pytest.raises(ValueError, match="clique size"):
-        count_new_cliques(small, big, 0)
-    with pytest.raises(ValueError, match="edge the new graph lacks"):
-        count_new_cliques(big, small, 3)
+def threshold_oracle(n: int, uniforms: np.ndarray, p: float) -> Graph:
+    """Oracle: lay the uniforms out as a symmetric matrix (diagonal 1, never
+    below p) and pack `matrix < p`, as the sampler did before the walk."""
+    matrix = np.ones((n, n))
+    iu = np.triu_indices(n, k=1)
+    matrix[iu] = uniforms
+    matrix.T[iu] = uniforms
+    return Graph._from_rows(old_pack_rows(matrix < p))
+
+
+# nondecreasing p lists: p = 0 and p = 1, repeated p, one p, none
+WALK_PS = ([0.0, 0.0, 0.35, 0.35, 0.6, 1.0], [0.2, 0.5], [1.0], [0.0], [0.45, 0.45], [])
+
+
+def assert_walk_matches_oracles(n, uniforms, ps, s):
+    parts, counts = gnp_process(n, uniforms, ps, s)
+    assert parts == [threshold_oracle(n, uniforms, p) for p in ps], (n, ps, s)
+    assert counts == [count_cliques(g, s) for g in parts], (n, ps, s)
+
+
+def test_gnp_process_matches_its_oracles():
+    # every graph is the thresholded matrix and every count is count_cliques
+    # of it, so each step of the counts is the cliques its new edges close
+    for n in [*range(31), 65, 130]:
+        uniforms = pair_uniforms(n, 700 + n)
+        for ps in WALK_PS:
+            for s in range(2, 7 if n <= 30 else 6 if n == 65 else 4):
+                assert_walk_matches_oracles(n, uniforms, ps, s)
+
+
+def test_gnp_process_with_tied_uniforms():
+    # hand-built uniforms with ties among themselves and with the p values:
+    # a pair is kept iff its uniform lies strictly below p
+    n = 6
+    uniforms = np.array([0.5, 0.25, 0.5, 0.75, 0.25, 0.5, 0.0, 0.75, 0.25, 0.5, 0.5, 0.0, 0.25, 0.75, 0.5])
+    for ps in ([0.0, 0.25, 0.5, 0.75, 1.0], [0.25, 0.25, 0.5000001], [0.5, 0.75]):
+        for s in range(2, 6):
+            assert_walk_matches_oracles(n, uniforms, ps, s)
+    parts, counts = gnp_process(n, uniforms, [0.25, 0.5], 2)
+    assert counts == [2, 6] and parts[1].num_edges == 6
+
+
+def test_gnp_process_rejects_bad_input():
+    uniforms = pair_uniforms(10, 1)
+    with pytest.raises(ValueError, match="need 36 pair uniforms for n=9, got 45"):
+        gnp_process(9, uniforms, [0.5], 3)
+    with pytest.raises(ValueError, match="clique size must be >= 2"):
+        gnp_process(10, uniforms, [0.5], 1)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            gnp_process(10, uniforms, [0.2, p], 3)
+    with pytest.raises(ValueError, match="p list must be nondecreasing"):
+        gnp_process(10, uniforms, [0.5, 0.4], 3)
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got nan"):
+        sample_gnp(10, float("nan"), 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129])
+def test_row_packing_round_trips_at_word_boundaries(n):
+    rng = np.random.default_rng(n)
+    for k, density in ((n, 0.5), (n, 1.0), (3, 0.0), (0, 0.5), (1, 0.9)):
+        bits = rng.random((k, n)) < density
+        rows = graphs._pack_rows(bits)
+        assert type(rows) is tuple and all(type(r) is int for r in rows)
+        assert rows == old_pack_rows(bits)
+        unpacked = graphs._unpack_rows(rows, n)
+        assert unpacked.shape == (k, n) and np.array_equal(unpacked, bits)
 
 
 def test_induced_subgraph():

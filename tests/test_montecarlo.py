@@ -415,9 +415,11 @@ def test_sweep_calls_the_module_globals(monkeypatch):
         counting(module, name)
     assert result_to_csv(run_sweep(cfg, workers=1)) == expected
     # verify_witness counts the search's own witness checks too; union is
-    # called once per cell, so 6 * 8 = 48 (42 while refuted cells were not built)
-    assert calls == {"pair_uniforms": 8, "contains_ham_power": 24, "verify_witness": 30,
-                     "count_cliques": 8, "union": 48}
+    # called once per cell, so 6 * 8 = 48 (42 while refuted cells were not
+    # built).  The trial walk counts the cliques itself: count_cliques, which
+    # clique_stats calls, is not called by a sweep.
+    assert calls == {"pair_uniforms": 8, "contains_ham_power": 24, "verify_witness": 30, "union": 48}
+    assert callable(montecarlo.count_cliques)
 
 
 def test_budgeted_sweep_pinned():
@@ -438,6 +440,30 @@ def test_budgeted_sweep_pinned():
     )
     F, U = FOUND, UNKNOWN
     assert result.verdicts == ((F, U, F, U, F, U, F),) + ((F, U, F, U, F, F, F),) * 3
+
+
+def test_multiword_budgeted_sweep_pinned():
+    # n = 70 rows span two 64-bit words and m = 3 counts K_4 through the
+    # walk's general clique branch; the grid is unsorted and repeats 0.1.
+    # Computed before the trial walk replaced per-p thresholding.  Trials 0
+    # and 2 have Found below Unknown cells: the witness found below an
+    # Unknown probe is not carried up to it.
+    cfg = ExperimentConfig(n=70, m=3, base=BaseGraphSpec("patched_bipartite", eps=Fraction(1, 8)),
+                           p_grid=(0.3, 0.0, 0.1, 1.0, 0.1, 0.2, 0.5), trials=4, seed=20261017, budget=5000)
+    result = run_sweep(cfg)
+    assert result_to_csv(result) == (
+        "p,found_frac,notfound_frac,unknown_frac,mean_kcliques\n"
+        "0.3,0.5,0,0.5,746\n"
+        "0,0,0,1,0\n"
+        "0.1,0.75,0,0.25,2.25\n"
+        "1,1,0,0,916895\n"
+        "0.1,0.75,0,0.25,2.25\n"
+        "0.2,0.5,0,0.5,83.5\n"
+        "0.5,1,0,0,14163.75\n"
+    )
+    F, U = FOUND, UNKNOWN
+    assert result.verdicts == ((U, U, F, F, F, U, F), (F, U, F, F, F, F, F),
+                               (U, U, F, F, F, U, F), (F, U, U, F, U, F, F))
 
 
 def spy_chain(monkeypatch, chain):
@@ -515,6 +541,28 @@ def test_counts_below_one_are_rejected():
             run_sweep(small_config(trials=2), workers=workers)
     with pytest.raises(ValueError, match="trials must be >= 1"):  # was a ZeroDivisionError
         clique_stats(12, 0.5, 2, 0, 3)
+
+
+@pytest.mark.parametrize("args,error,match", [
+    pytest.param((10, 0.5, True, 2, 1), TypeError, "m must be an integer, got bool", id="m-bool"),
+    pytest.param((10, 0.5, 2.0, 2, 1), TypeError, "m must be an integer, got float", id="m-float"),
+    pytest.param((10, 0.5, 1, True, 1), TypeError, "trials must be an integer, got bool", id="trials-bool"),
+    pytest.param((10, 0.5, 1, 2, True), TypeError, "seed must be an integer, got bool", id="seed-bool"),
+    pytest.param((10.0, 0.5, 1, 2, 1), TypeError, "n must be an integer, got float", id="n-float"),
+    pytest.param((10, 0.5, 0, 2, 1), ValueError, "m must be >= 1, got 0", id="m-zero"),
+    pytest.param((10, 0.5, -1, 2, 1), ValueError, "m must be >= 1, got -1", id="m-negative"),
+])
+def test_clique_stats_checks_its_arguments(args, error, match):
+    # each used to run: m=True came back as the stats' m, m=0 counted the
+    # n single vertices, and bool trials and seeds were read as 1
+    with pytest.raises(error, match=match):
+        clique_stats(*args)
+
+
+def test_clique_stats_takes_numpy_integers_by_value():
+    st = clique_stats(np.int64(12), 1.0, np.int8(2), np.uint16(3), np.uint64(3))
+    assert (st.n, st.m, st.trials) == (12, 2, 3) and all(type(x) is int for x in (st.n, st.m, st.trials))
+    assert st.empirical_mean == math.comb(12, 3)
 
 
 def test_clique_stats_near_threshold():
