@@ -1,8 +1,10 @@
 """A small reproducible threshold sweep.
 
 One uniform per vertex pair per trial couples the whole probability grid:
-the per-trial found curve is monotone by construction, so the aggregated
-found-fraction curve is exactly nondecreasing, not merely on average.
+each trial's graphs are nested, NotFound transfers down them and a Found
+witness up them, so the per-trial found curve is monotone by construction,
+with or without a search budget, and the aggregated found-fraction curve
+is exactly nondecreasing, not merely on average.
 Output is byte-identical regardless of the worker count.
 """
 

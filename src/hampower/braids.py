@@ -13,10 +13,13 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph
+from .graphs import Graph, _integer
 
 
-def check_braid_params(ell: int, r: int, t: int, s: int = 1) -> None:
+def check_braid_params(ell: int, r: int, t: int, s: int = 1) -> tuple[int, int, int, int]:
+    """(ell, r, t, s) as ints, once each is known to be an integer in range."""
+    ell, r = _integer("clique size ell", ell), _integer("bridge width r", r)
+    t, s = _integer("clique count t", t), _integer("copy count s", s)
     if ell < 2:
         raise ValueError(f"clique size must be >= 2, got {ell}")
     if not 1 <= r <= ell:
@@ -25,6 +28,7 @@ def check_braid_params(ell: int, r: int, t: int, s: int = 1) -> None:
         raise ValueError(f"clique count must be >= 1, got {t}")
     if s < 1:
         raise ValueError(f"copy count must be >= 1, got {s}")
+    return ell, r, t, s
 
 
 def bridge(r: int) -> Graph:
@@ -32,6 +36,7 @@ def bridge(r: int) -> Graph:
 
     Exactly C(r+1, 2) edges.
     """
+    r = _integer("bridge width r", r)
     if r < 1:
         raise ValueError(f"bridge width must be >= 1, got {r}")
     edges = [(i, r + j) for i in range(r) for j in range(i + 1)]
@@ -60,13 +65,13 @@ def braid(ell: int, r: int, t: int) -> Graph:
     for ell in {r, r+1} it coincides with the r-th power of the path on
     t*ell vertices under the canonical labeling.
     """
-    check_braid_params(ell, r, t)
+    ell, r, t, _ = check_braid_params(ell, r, t)
     return Graph(t * ell, braid_edges(ell, r, t))
 
 
 def s_braids(ell: int, r: int, t: int, s: int) -> Graph:
     """s vertex-disjoint relabeled copies of B(ell, r, t), on s*t*ell vertices."""
-    check_braid_params(ell, r, t, s)
+    ell, r, t, s = check_braid_params(ell, r, t, s)
     edges = []
     for copy in range(s):
         edges.extend(braid_edges(ell, r, t, offset=copy * t * ell))
@@ -75,5 +80,5 @@ def s_braids(ell: int, r: int, t: int, s: int) -> Graph:
 
 def braid_edge_count(ell: int, r: int, t: int) -> int:
     """Closed form t*C(ell, 2) + (t-1)*C(r+1, 2)."""
-    check_braid_params(ell, r, t)
+    ell, r, t, _ = check_braid_params(ell, r, t)
     return t * comb(ell, 2) + (t - 1) * comb(r + 1, 2)

@@ -224,7 +224,7 @@ def pair_uniforms(n: int, seed: int) -> np.ndarray:
 
 
 def gnp_process(n: int, uniforms: np.ndarray, ps, s: int) -> tuple[list[Graph], list[int]]:
-    """The graph at each p of the nondecreasing list ps, and its K_s count.
+    """The graph at each p of the nondecreasing iterable ps, and its K_s count.
 
     `uniforms` is pair_uniforms(n, seed) (row-major upper triangle); the
     graph at p keeps each pair whose uniform lies below p, so the graphs are
@@ -240,11 +240,12 @@ def gnp_process(n: int, uniforms: np.ndarray, ps, s: int) -> tuple[list[Graph], 
         raise ValueError(f"need {n * (n - 1) // 2} pair uniforms for n={n}, got {len(uniforms)}")
     if s < 2:
         raise ValueError(f"clique size must be >= 2, got {s}")
+    ps = [_number("p", p, float) for p in ps]
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
     if any(a > b for a, b in zip(ps, ps[1:])):
-        raise ValueError(f"p list must be nondecreasing, got {list(ps)}")
+        raise ValueError(f"p list must be nondecreasing, got {ps}")
     kept = np.flatnonzero(uniforms < (ps[-1] if ps else 0.0))
     order = kept[np.argsort(uniforms[kept], kind="stable")]
     cuts = np.searchsorted(uniforms[order], ps, side="left").tolist()

@@ -7,16 +7,17 @@ trials: the edge set at p is a superset of the edge set at any p' < p, so a
 trial's graphs, sorted by p, form a nested chain (as in a random graph
 process), and `_decide_chain` settles every cell it does not search
 exactly: NotFound transfers down the chain and a checked Found witness up
-it.  The found curve is monotone by construction, and coupling changes no
-marginal distribution.
+it.  The found curve is monotone by construction, under a search budget
+too, and coupling changes no marginal distribution.
 
 `run_sweep` is the one way to run trials.  It returns the per-trial
 verdicts (`SweepResult.verdicts`, indexed [trial][grid point]) next to the
 aggregated rows, both assembled in trial order, so the output is
 byte-identical for a fixed config regardless of the `workers` count.  At
 most `trials` worker processes are started, and one worker runs in this
-process.  Unknown outcomes (spent search budget) are first-class and never
-folded into either verdict.
+process.  Unknown outcomes (spent search budget) are first-class: a cell is
+Unknown only when its own search ran out and no exact outcome in its chain
+settles it.
 """
 
 from __future__ import annotations
@@ -257,42 +258,39 @@ class SweepResult:
 
 def _decide_chain(chain: list[Graph], m: int, budget: int | None) -> list[str]:
     """The verdict on each graph of `chain`, where each graph is a subgraph
-    of the next.  Bisection finds the step of the monotone verdicts:
-    NotFound transfers exactly down the chain, and the lowest Found witness
-    is re-verified on each later graph (AssertionError if it fails, as it
-    can only on a chain that is not nested).  Unknown probes transfer
-    nothing; each graph they leave open is searched on its own.
+    of the next.  Each search is of the middle graph among those no outcome
+    settles yet: the unsearched ones strictly between the highest NotFound
+    and the lowest Found, so with no Unknown outcome this is bisection.  Then
+    each graph keeps its own exact verdict, or else is NotFound below the
+    highest NotFound, Found above the lowest Found (whose witness is
+    re-verified there: AssertionError if it fails, as it can only on a chain
+    that is not nested), and Unknown only in between.  So the verdicts read
+    NotFound*, Unknown*, Found* under any budget.
     """
     from .hamsearch import verify_witness  # at call time, so a rebinding in hamsearch is seen
 
-    # Bisection moves up past every NotFound probe and down past every Found
-    # one, so the last of each is the highest NotFound and the lowest Found.
-    verdicts: list[str | None] = [None] * len(chain)
-    refuted_below, found_above, witness = -1, len(chain), None
-    lo, hi = 0, len(chain) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        out = contains_ham_power(chain[mid], m, budget)
-        verdicts[mid] = out.verdict
+    outcomes = [None] * len(chain)
+    refuted, found = -1, len(chain)
+    while unsettled := [i for i in range(refuted + 1, found) if outcomes[i] is None]:
+        mid = unsettled[(len(unsettled) - 1) // 2]
+        outcomes[mid] = out = contains_ham_power(chain[mid], m, budget)
         if out.verdict == FOUND:
-            found_above, witness = mid, out.witness
-            hi = mid - 1
-        else:
-            if out.verdict == NOT_FOUND:
-                refuted_below = mid
-            lo = mid + 1
+            found = mid
+        elif out.verdict == NOT_FOUND:
+            refuted = mid
 
-    for i, g in enumerate(chain):
-        if verdicts[i] is not None:
-            continue
-        if i < refuted_below:
-            verdicts[i] = NOT_FOUND  # subgraph of an exhaustively refuted graph
-        elif i > found_above:
-            if not verify_witness(g, m, witness):
+    verdicts = []
+    for i, (g, out) in enumerate(zip(chain, outcomes)):
+        if out is not None and out.verdict != UNKNOWN:
+            verdicts.append(out.verdict)
+        elif i < refuted:
+            verdicts.append(NOT_FOUND)  # subgraph of an exhaustively refuted graph
+        elif i > found:
+            if not verify_witness(g, m, outcomes[found].witness):
                 raise AssertionError("witness failed to verify on a later graph: the chain is not nested")
-            verdicts[i] = FOUND
+            verdicts.append(FOUND)
         else:
-            verdicts[i] = contains_ham_power(g, m, budget).verdict
+            verdicts.append(UNKNOWN)
     return verdicts
 
 

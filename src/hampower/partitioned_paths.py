@@ -171,6 +171,7 @@ def normalized_edge_closed_form(seg: SegmentList, m: int) -> int:
 def same_side_edge_floor(m: int, L: int) -> Fraction:
     """The guaranteed same-side edge count d*L - 2m^2 for valid labelings,
     where d is the optimal limiting braid density for power m."""
+    m, L = _integer("power m", m), _integer("length L", L)
     if m < 2:
         raise ValueError(f"power must be >= 2, got {m}")
     if L < 1:
@@ -377,6 +378,7 @@ def _valid_mask_chunks(L: int, m: int):
 def iter_valid_label_masks(L: int, m: int):
     """All side-label bitmasks of length L with no m+1 consecutive equal bits,
     as Python ints in ascending order.  L must lie in 0..62 and m be >= 1."""
+    L, m = _integer("length L", L), _integer("power m", m)
     if m < 1:
         raise ValueError(f"power m must be >= 1, got m={m}")
     _check_mask_length(L)
@@ -396,6 +398,7 @@ def check_edge_floor_exhaustive(m: int, L_max: int) -> list[EdgeFloorRow]:
     same-side edge count meets same_side_edge_floor(m, L); reports the
     minimizing labeling per L (first in mask order among ties).  L_max must
     lie in 0..62."""
+    m, L_max = _integer("power m", m), _integer("L_max", L_max)
     if m < 2:
         raise ValueError(f"power must be >= 2, got {m}")
     _check_mask_length(L_max)

@@ -6,6 +6,7 @@ import pytest
 
 from hampower.braids import braid, braid_edge_count, bridge, s_braids
 from hampower.graphs import complete_graph, path_power
+from hampower.partitioned_paths import check_edge_floor_exhaustive, iter_valid_label_masks, same_side_edge_floor
 
 
 def test_bridge_single_edge():
@@ -80,3 +81,22 @@ def test_s_braids():
     assert three.n == 12 and three.num_edges == 3 * comb(4, 2)
     # copies are vertex-disjoint: no edge crosses a 20-vertex block boundary
     assert all((u < 20) == (v < 20) for u, v in g.edges)
+
+
+# Each call used to read a bool as 0 or 1, keep a float (an inexact floor),
+# or fail deep inside with a TypeError that named no argument.
+@pytest.mark.parametrize("fn,args,name", [
+    pytest.param(braid, (4, True, 3), "bridge width r", id="braid-bool-r"),
+    pytest.param(braid, (4.0, 2, 3), "clique size ell", id="braid-float-ell"),
+    pytest.param(bridge, (True,), "bridge width r", id="bridge-bool"),
+    pytest.param(s_braids, (4, 2, 3, True), "copy count s", id="s_braids-bool-s"),
+    pytest.param(braid_edge_count, (4, 2, 3.0), "clique count t", id="braid_edge_count-float-t"),
+    pytest.param(iter_valid_label_masks, (3, True), "power m", id="iter_valid_label_masks-bool-m"),
+    pytest.param(iter_valid_label_masks, (3.0, 2), "length L", id="iter_valid_label_masks-float-L"),
+    pytest.param(check_edge_floor_exhaustive, (2, True), "L_max", id="check_edge_floor_exhaustive-bool"),
+    pytest.param(same_side_edge_floor, (2, 3.5), "length L", id="same_side_edge_floor-float-L"),
+    pytest.param(same_side_edge_floor, (2.0, 3), "power m", id="same_side_edge_floor-float-m"),
+])
+def test_braid_and_label_mask_integer_arguments(fn, args, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got (bool|float)"):
+        fn(*args)

@@ -428,6 +428,20 @@ def test_gnp_process_rejects_bad_input():
         sample_gnp(10, float("nan"), 1)
 
 
+def test_gnp_process_reads_each_p_as_a_number():
+    # any iterable of numbers; a bool was read as 0 or 1, and a string, a
+    # numpy array and an iterator failed with unrelated messages
+    uniforms = pair_uniforms(6, 3)
+    expected = gnp_process(6, uniforms, [0.0, 0.5, 1.0], 3)
+    for ps in (np.linspace(0, 1, 3), iter([0.0, 0.5, 1.0]), (0, Fraction(1, 2), np.float32(1))):
+        assert gnp_process(6, uniforms, ps, 3) == expected
+    for bad in (True, "0.5"):
+        with pytest.raises(ValueError, match=f"^p must be a number, got {bad!r}$"):
+            sample_gnp(6, bad, 1)
+        with pytest.raises(ValueError, match=f"^p must be a number, got {bad!r}$"):
+            gnp_process(6, uniforms, [0.2, bad], 3)
+
+
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129])
 def test_row_packing_round_trips_at_word_boundaries(n):
     rng = np.random.default_rng(n)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hampower import hamsearch, montecarlo
-from hampower.graphs import Graph, complete_graph, cycle_power, patched_bipartite, path_power, sample_gnp, union
+from hampower.graphs import (Graph, complete_graph, cycle_power, gnp_process, pair_uniforms, patched_bipartite,
+                             path_power, sample_gnp, union)
 from hampower.hamsearch import FOUND, NOT_FOUND, UNKNOWN
 from hampower.montecarlo import (
     BaseGraphSpec,
@@ -445,25 +446,25 @@ def test_budgeted_sweep_pinned():
 def test_multiword_budgeted_sweep_pinned():
     # n = 70 rows span two 64-bit words and m = 3 counts K_4 through the
     # walk's general clique branch; the grid is unsorted and repeats 0.1.
-    # Computed before the trial walk replaced per-p thresholding.  Trials 0
-    # and 2 have Found below Unknown cells: the witness found below an
-    # Unknown probe is not carried up to it.
+    # The clique means were computed before the trial walk replaced per-p
+    # thresholding.  Trials 0 and 2 are Found at p = 0.1 after an Unknown
+    # probe at p = 0.2; that witness is carried up to p = 0.2 and p = 0.3,
+    # so no trial's verdicts go from Found back to Unknown as p rises.
     cfg = ExperimentConfig(n=70, m=3, base=BaseGraphSpec("patched_bipartite", eps=Fraction(1, 8)),
                            p_grid=(0.3, 0.0, 0.1, 1.0, 0.1, 0.2, 0.5), trials=4, seed=20261017, budget=5000)
     result = run_sweep(cfg)
     assert result_to_csv(result) == (
         "p,found_frac,notfound_frac,unknown_frac,mean_kcliques\n"
-        "0.3,0.5,0,0.5,746\n"
+        "0.3,1,0,0,746\n"
         "0,0,0,1,0\n"
         "0.1,0.75,0,0.25,2.25\n"
         "1,1,0,0,916895\n"
         "0.1,0.75,0,0.25,2.25\n"
-        "0.2,0.5,0,0.5,83.5\n"
+        "0.2,1,0,0,83.5\n"
         "0.5,1,0,0,14163.75\n"
     )
     F, U = FOUND, UNKNOWN
-    assert result.verdicts == ((U, U, F, F, F, U, F), (F, U, F, F, F, F, F),
-                               (U, U, F, F, F, U, F), (F, U, U, F, U, F, F))
+    assert result.verdicts == ((F, U, F, F, F, F, F),) * 3 + ((F, U, U, F, U, F, F),)
 
 
 def spy_chain(monkeypatch, chain):
@@ -513,7 +514,65 @@ def test_chain_searches_graphs_unknown_probes_leave_open(monkeypatch):
     assert searched == [3, 5, 6]
     searched.clear()
     assert montecarlo._decide_chain(chain, 2, 400) == [NOT_FOUND] * 4 + [UNKNOWN] * 2 + [FOUND]
-    assert searched == [3, 5, 6, 4]  # chain[4] lies between a NotFound and a Found probe
+    assert searched == [3, 5, 4, 6]  # after the Unknown chain[5], chain[4] is the middle of 4..6
+
+
+def scripted_unknown(monkeypatch, chain, unknown):
+    """Make the searches of the chain positions in `unknown` come back
+    Unknown without searching; the others run the real search."""
+    search = montecarlo.contains_ham_power
+
+    def searching(g, m, budget=None):
+        if any(g is chain[i] for i in unknown):
+            return hamsearch.SearchOutcome(UNKNOWN, None, budget)
+        return search(g, m, budget)
+
+    monkeypatch.setattr(montecarlo, "contains_ham_power", searching)
+
+
+def test_chain_unknown_probe_below_a_later_not_found_is_not_found(monkeypatch):
+    chain = [Graph(8) for _ in range(3)] + [complete_graph(8)]
+    scripted_unknown(monkeypatch, chain, {1})
+    searched, _ = spy_chain(monkeypatch, chain)
+    # chain[1] is probed first and spent; chain[2], refuted next, lies above it
+    assert montecarlo._decide_chain(chain, 2, 100) == [NOT_FOUND] * 3 + [FOUND]
+    assert searched == [1, 2, 3]
+
+
+def test_chain_carries_a_leftover_found_witness_over_unknown_probes(monkeypatch):
+    cycle = cycle_power(8, 2)
+    chain = [Graph(8), cycle, union(cycle, Graph(8, [(0, 4)])), union(cycle, Graph(8, [(0, 4), (1, 5)])),
+             complete_graph(8)]
+    scripted_unknown(monkeypatch, chain, {2})
+    searched, verified = spy_chain(monkeypatch, chain)
+    assert montecarlo._decide_chain(chain, 2, 100) == [NOT_FOUND] + [FOUND] * 4
+    # the spent probe chain[2] leaves 0, 1 and 3, 4 open; the middle one,
+    # chain[1], is Found, so nothing above it is searched
+    assert searched == [2, 1, 0]
+    assert verified == [1, 2, 3, 4]  # the search's own check, then the carried witness
+
+
+def test_budgeted_chain_verdicts_are_exact_and_ordered():
+    # nested random chains small enough to decide exactly: each budgeted
+    # verdict that is not Unknown is the exact one, and the verdicts read
+    # NotFound*, Unknown*, Found*
+    rng = np.random.default_rng(20261020)
+    rank = {NOT_FOUND: 0, UNKNOWN: 1, FOUND: 2}
+    unknowns = 0
+    for _ in range(3000):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(m + 2, 12))
+        ps = sorted(rng.random(int(rng.integers(1, 8))).tolist())
+        parts, _ = gnp_process(n, pair_uniforms(n, int(rng.integers(2**32))), ps, 2)
+        base = cycle_power(n, m - 1) if m > 1 else Graph(n)  # moves the step inside the chain
+        chain = [union(base, part) for part in parts]
+        exact = [hamsearch.contains_ham_power(g, m).verdict for g in chain]
+        budget = int(np.exp(rng.uniform(0, np.log(301))))  # 1..300, small ones often
+        verdicts = montecarlo._decide_chain(chain, m, budget)
+        assert all(v in (UNKNOWN, e) for v, e in zip(verdicts, exact)), (n, m, ps, budget)
+        assert [rank[v] for v in verdicts] == sorted(rank[v] for v in verdicts), (n, m, ps, budget)
+        unknowns += verdicts.count(UNKNOWN)
+    assert unknowns  # the budgets are small enough to leave some cells open
 
 
 def test_chain_not_nested_fails_the_transferred_witness():
