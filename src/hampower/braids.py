@@ -18,16 +18,10 @@ from .graphs import Graph, _integer
 
 def check_braid_params(ell: int, r: int, t: int, s: int = 1) -> tuple[int, int, int, int]:
     """(ell, r, t, s) as ints, once each is known to be an integer in range."""
-    ell, r = _integer("clique size ell", ell), _integer("bridge width r", r)
-    t, s = _integer("clique count t", t), _integer("copy count s", s)
-    if ell < 2:
-        raise ValueError(f"clique size must be >= 2, got {ell}")
+    ell, r = _integer("clique size ell", ell, 2), _integer("bridge width r", r)
+    t, s = _integer("clique count t", t, 1), _integer("copy count s", s, 1)
     if not 1 <= r <= ell:
         raise ValueError(f"bridge width must satisfy 1 <= r <= ell, got r={r}, ell={ell}")
-    if t < 1:
-        raise ValueError(f"clique count must be >= 1, got {t}")
-    if s < 1:
-        raise ValueError(f"copy count must be >= 1, got {s}")
     return ell, r, t, s
 
 
@@ -36,9 +30,7 @@ def bridge(r: int) -> Graph:
 
     Exactly C(r+1, 2) edges.
     """
-    r = _integer("bridge width r", r)
-    if r < 1:
-        raise ValueError(f"bridge width must be >= 1, got {r}")
+    r = _integer("bridge width r", r, 1)
     edges = [(i, r + j) for i in range(r) for j in range(i + 1)]
     return Graph(2 * r, edges)
 

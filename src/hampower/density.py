@@ -36,8 +36,8 @@ from math import comb
 
 import numpy as np
 
-from .braids import braid_edge_count
-from .graphs import Graph, induced_edge_count
+from .braids import braid_edge_count, check_braid_params
+from .graphs import Graph, _integer, _number, induced_edge_count
 
 
 class CapExceeded(ValueError):
@@ -345,6 +345,7 @@ def max_density_opt(g: Graph) -> DensityReport:
 
 def braid_density(ell: int, r: int, t: int) -> Fraction:
     """1-density of B(ell, r, t): (t*C(ell,2) + (t-1)*C(r+1,2)) / (t*ell - 1)."""
+    ell, r, t, _ = check_braid_params(ell, r, t)
     return Fraction(braid_edge_count(ell, r, t), t * ell - 1)
 
 
@@ -368,10 +369,10 @@ def first_moment_profile(g: Graph, n: int, p: float) -> FirstMomentReport:
     profiles.  For p in (0, 1), ln(p) < 0, so at a fixed vertex subset the
     minimum sits at the full induced edge count; the scan exploits that.
     """
+    p = _number("p", p, float)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
-    if n < 2:
-        raise ValueError(f"scale n must be >= 2, got {n}")
+    n = _integer("scale n", n, 2)
     if g.n > BRUTE_CAP:
         raise CapExceeded(f"profile scan capped at {BRUTE_CAP} vertices, graph has {g.n}")
     if g.num_edges == 0:
@@ -404,6 +405,8 @@ def truncation_margin_low(ell: int, r: int, t: int, x: int) -> int:
     """Margin for 0 <= x <= r: each kept vertex of the last clique contributes
     exactly r edges.  At x=0 this equals (ell-1)*(r*(r+1)-ell)/2, which
     vanishes exactly on the boundary ell = r*(r+1)."""
+    ell, r, t, _ = check_braid_params(ell, r, t)
+    x = _integer("x", x)
     braid_e = braid_edge_count(ell, r, t)
     trunc_e = braid_e - comb(ell, 2) - comb(r + 1, 2) + r * x
     return braid_e * ((t - 1) * ell + x - 1) - trunc_e * (t * ell - 1)
@@ -412,6 +415,8 @@ def truncation_margin_low(ell: int, r: int, t: int, x: int) -> int:
 def truncation_margin_high(ell: int, r: int, t: int, x: int) -> int:
     """Margin for r+1 <= x <= ell-1: the kept vertices induce a K_x joined to
     the previous clique by a full r-bridge."""
+    ell, r, t, _ = check_braid_params(ell, r, t)
+    x = _integer("x", x)
     braid_e = braid_edge_count(ell, r, t)
     trunc_e = braid_e - comb(ell, 2) + comb(x, 2)
     return braid_e * ((t - 1) * ell + x - 1) - trunc_e * (t * ell - 1)
@@ -420,6 +425,8 @@ def truncation_margin_high(ell: int, r: int, t: int, x: int) -> int:
 def truncation_margin_linear_factor(ell: int, r: int, t: int, x: int) -> int:
     """The linear-in-x factor h with 2*margin_high = (ell - x)*h; h is
     increasing in x (slope ell*t - 1 > 0)."""
+    ell, r, t, _ = check_braid_params(ell, r, t)
+    x = _integer("x", x)
     return ell * t * x - r * r * t + r * r - r * t - ell + r - x + 1
 
 
@@ -432,8 +439,8 @@ def verify_truncation_margins(ell: int, r: int, t: int) -> bool:
     margins are checked both directly and through the factored form
     (ell - x)/2 * h together with h's monotonicity in x.
     """
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
+    ell, r = _integer("clique size ell", ell), _integer("bridge width r", r)
+    t = _integer("clique count t", t, 2)
     if not 1 <= r < ell - 1:
         raise ValueError(f"need 1 <= r < ell - 1, got r={r}, ell={ell}")
     if not ell < r * (r + 1):

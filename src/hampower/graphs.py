@@ -14,9 +14,11 @@ copied out at each p.  Each added edge uv also closes the K_s that contain
 u and v, the (s-2)-cliques among their common neighbors, so the walk keeps
 a running K_s count; `count_cliques` counts a given graph from scratch.
 
-The package's two argument rules live here too: `_integer` (an int, numpy
-integers by value, never a bool or a float) and `_number` (a number, never
-a bool, or a string such as "1/8" where a Fraction is wanted).
+The package's argument rules live here too: `_integer` (an int, numpy
+integers by value, never a bool or a float, and at least a given bound,
+in one wording), `_number` (a number, never a bool, or a string such as
+"1/8" where a Fraction is wanted) and `_vertices` (distinct vertices of a
+graph).
 """
 
 from __future__ import annotations
@@ -33,18 +35,21 @@ Edge = tuple[int, int]
 _MASK128 = (1 << 128) - 1
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, least: int | None = None) -> int:
     """value as an int through operator.index, so numpy integers pass; a
     float, which would be truncated or compared as a real, and a bool, which
-    would act as 0 or 1, raise TypeError naming the parameter."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, bool):
+    would act as 0 or 1, raise TypeError naming the parameter.  A value below
+    `least` (when given) raises ValueError naming it."""
+    if type(value) is not int:
         try:
-            return operator.index(value)
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
         except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _number(what: str, value, kind=Fraction):
@@ -68,9 +73,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges=()):
-        n = _integer("vertex count", n)
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        n = _integer("vertex count", n, 0)
         rows = [0] * n
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
@@ -108,7 +111,7 @@ class Graph:
         return sum(r.bit_count() for r in self.adj) // 2
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.adj[_vertices(self, (v,))[0]].bit_count()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -146,9 +149,7 @@ def _unpack_rows(rows, n: int) -> np.ndarray:
 
 def complete_graph(n: int) -> Graph:
     """All C(n, 2) edges on n >= 1 vertices."""
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("complete_graph needs n >= 1")
+    n = _integer("n", n, 1)
     return Graph(n, combinations(range(n), 2))
 
 
@@ -157,9 +158,7 @@ def path_power(v: int, m: int) -> Graph:
 
     For v >= m + 1 the edge count is v*m - C(m+1, 2).
     """
-    v, m = _integer("v", v), _integer("m", m)
-    if v < 1 or m < 1:
-        raise ValueError("path_power needs v >= 1 and m >= 1")
+    v, m = _integer("v", v, 1), _integer("power m", m, 1)
     edges = [(i, j) for i in range(v) for j in range(i + 1, min(i + m, v - 1) + 1)]
     return Graph(v, edges)
 
@@ -169,9 +168,7 @@ def cycle_power(v: int, m: int) -> Graph:
 
     For v >= 2m + 1 the edge count is v*m (the graph is 2m-regular).
     """
-    v, m = _integer("v", v), _integer("m", m)
-    if v < 3 or m < 1:
-        raise ValueError("cycle_power needs v >= 3 and m >= 1")
+    v, m = _integer("v", v, 3), _integer("power m", m, 1)
     return Graph(v, ((i, (i + d) % v) for i in range(v) for d in range(1, min(m, v - 1) + 1)))
 
 
@@ -216,9 +213,7 @@ def patched_bipartite(n: int, eps) -> Graph:
 
 def pair_uniforms(n: int, seed: int) -> np.ndarray:
     """One uniform per unordered pair, in row-major upper-triangle order."""
-    n, seed = _integer("n", n), _integer("seed", seed)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n, seed = _integer("n", n, 0), _integer("seed", seed)
     bg = np.random.Philox(key=seed & _MASK128)
     return np.random.Generator(bg).random(n * (n - 1) // 2)
 
@@ -235,11 +230,9 @@ def gnp_process(n: int, uniforms: np.ndarray, ps, s: int) -> tuple[list[Graph], 
     common neighbors, so each clique is counted once, when its last edge goes
     in.  For s = 3 an edge closes one triangle per common neighbor.
     """
-    n, s = _integer("n", n), _integer("clique size", s)
+    n, s = _integer("n", n), _integer("clique size", s, 2)
     if len(uniforms) != n * (n - 1) // 2:
         raise ValueError(f"need {n * (n - 1) // 2} pair uniforms for n={n}, got {len(uniforms)}")
-    if s < 2:
-        raise ValueError(f"clique size must be >= 2, got {s}")
     ps = [_number("p", p, float) for p in ps]
     for p in ps:
         if not 0.0 <= p <= 1.0:
@@ -314,20 +307,29 @@ def _cliques_in(adj, cand: int, need: int) -> int:
 
 def count_cliques(g: Graph, s: int) -> int:
     """Exact number of s-vertex cliques, by pruned recursion on neighborhood masks."""
-    s = _integer("clique size", s)
-    if s < 1:
-        raise ValueError("clique size must be >= 1")
+    s = _integer("clique size", s, 1)
     return _cliques_in(g.adj, (1 << g.n) - 1, s)
+
+
+def _vertices(g: Graph, vertices) -> list[int]:
+    """The vertices as a list of ints, once each is known to be an integer
+    (numpy integers by value, never a bool) in 0..n-1 and none repeats.  The
+    checks scan the list in C, so a list of plain ints costs no Python call
+    per vertex."""
+    vs = list(vertices)
+    if not set(map(type, vs)) <= {int}:
+        vs = [_integer("vertex", v) for v in vs]
+    if vs and not (0 <= min(vs) and max(vs) < g.n):
+        bad = next(v for v in vs if not 0 <= v < g.n)
+        raise ValueError(f"vertex {bad} out of range for n={g.n}")
+    if len(set(vs)) != len(vs):
+        raise ValueError("duplicate vertices in subset")
+    return vs
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Relabeled induced subgraph; vertex i of the result is vertices[i]."""
-    vs = list(vertices)
-    if len(set(vs)) != len(vs):
-        raise ValueError("duplicate vertices in subset")
-    for v in vs:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    vs = _vertices(g, vertices)
     bits = _unpack_rows([g.adj[v] for v in vs], g.n)
     return Graph._from_rows(_pack_rows(bits[:, vs]))
 
@@ -335,7 +337,7 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
 def induced_edge_count(g: Graph, vertices) -> int:
     """Number of edges of g with both endpoints in the given vertex set."""
     mask = 0
-    for v in vertices:
+    for v in _vertices(g, vertices):
         mask |= 1 << v
     adj = g.adj
     total = 0

@@ -96,9 +96,7 @@ def verify_witness(g: Graph, m: int, order) -> bool:
     """True iff every pair at cyclic distance <= m in `order` is an edge of g.
 
     The entries must be integers (numpy integers included, bools not)."""
-    m = _integer("m", m)
-    if m < 1:
-        raise ValueError(f"power must be >= 1, got {m}")
+    m = _integer("power m", m, 1)
     n = g.n
     order = [v if type(v) is int else _integer("witness entry", v) for v in order]
     if sorted(order) != list(range(n)):
@@ -161,13 +159,9 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
     1, caps the number of vertex placements; exceeding it returns Unknown.
     `m` and `budget` must be integers (numpy integers included, bools not).
     """
-    m = _integer("m", m)
-    if m < 1:
-        raise ValueError(f"power must be >= 1, got {m}")
+    m = _integer("power m", m, 1)
     if budget is not None:
-        budget = _integer("budget", budget)
-        if budget < 1:
-            raise ValueError("budget must be positive or None")
+        budget = _integer("budget", budget, 1)
     n = g.n
     if n < m + 2:
         raise ValueError(f"property needs n >= m + 2, got n={n}, m={m}")
@@ -279,9 +273,7 @@ def brute_force_contains(g: Graph, m: int) -> bool:
     """
     from itertools import permutations
 
-    m = _integer("m", m)
-    if m < 1:
-        raise ValueError(f"power must be >= 1, got {m}")
+    m = _integer("power m", m, 1)
     n = g.n
     if n < m + 2:
         raise ValueError(f"property needs n >= m + 2, got n={n}, m={m}")

@@ -14,10 +14,10 @@ too, and coupling changes no marginal distribution.
 verdicts (`SweepResult.verdicts`, indexed [trial][grid point]) next to the
 aggregated rows, both assembled in trial order, so the output is
 byte-identical for a fixed config regardless of the `workers` count.  At
-most `trials` worker processes are started, and one worker runs in this
-process.  Unknown outcomes (spent search budget) are first-class: a cell is
-Unknown only when its own search ran out and no exact outcome in its chain
-settles it.
+workers = 1 the trials run in the calling process; at workers = k >= 2 a
+pool starts min(k, trials) processes and the caller only waits.  Unknown
+outcomes (spent search budget) are first-class: a cell is Unknown only
+when its own search ran out and no exact outcome in its chain settles it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import partial
 from math import comb
 
+from . import hamsearch
 from .graphs import (
     Graph,
     _integer,
@@ -83,6 +84,7 @@ def _splitmix64(x: int) -> int:
 
 def trial_seed(seed: int, trial: int) -> int:
     """Fixed mixing of the experiment seed with the trial index."""
+    seed, trial = _integer("seed", seed), _integer("trial", trial)
     return _splitmix64((seed & _M64) ^ _splitmix64(trial + 1))
 
 
@@ -163,24 +165,19 @@ class ExperimentConfig:
     budget: int | None = None
 
     def __post_init__(self):
-        for name in ("n", "m", "trials", "seed") + (("budget",) if self.budget is not None else ()):
-            object.__setattr__(self, name, _integer(f"config {name}", getattr(self, name)))
+        for name, least in (("n", None), ("m", 1), ("trials", 1), ("seed", None), ("budget", 1)):
+            if name != "budget" or self.budget is not None:
+                object.__setattr__(self, name, _integer(f"config {name}", getattr(self, name), least))
         if isinstance(self.p_grid, str):
             raise TypeError(f"config p_grid must be a sequence of numbers or an ExponentGrid, "
                             f"got str {self.p_grid!r}")
         if not isinstance(self.p_grid, ExponentGrid):
             object.__setattr__(self, "p_grid", tuple(_number("config p_grid entry", p, float) for p in self.p_grid))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.n < self.m + 2:
             raise ValueError(f"need n >= m + 2, got n={self.n}, m={self.m}")
         for p in self.probabilities():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"grid probability {p} outside [0, 1]")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be positive or None")
         if self.budget is None and self.n > 28:
             warnings.warn(
                 f"n={self.n} with no search budget: exhaustive NotFound proofs "
@@ -267,8 +264,6 @@ def _decide_chain(chain: list[Graph], m: int, budget: int | None) -> list[str]:
     that is not nested), and Unknown only in between.  So the verdicts read
     NotFound*, Unknown*, Found* under any budget.
     """
-    from .hamsearch import verify_witness  # at call time, so a rebinding in hamsearch is seen
-
     outcomes = [None] * len(chain)
     refuted, found = -1, len(chain)
     while unsettled := [i for i in range(refuted + 1, found) if outcomes[i] is None]:
@@ -286,7 +281,7 @@ def _decide_chain(chain: list[Graph], m: int, budget: int | None) -> list[str]:
         elif i < refuted:
             verdicts.append(NOT_FOUND)  # subgraph of an exhaustively refuted graph
         elif i > found:
-            if not verify_witness(g, m, outcomes[found].witness):
+            if not hamsearch.verify_witness(g, m, outcomes[found].witness):
                 raise AssertionError("witness failed to verify on a later graph: the chain is not nested")
             verdicts.append(FOUND)
         else:
@@ -313,10 +308,10 @@ def _run_trial(config: ExperimentConfig, base: Graph, t: int) -> list[tuple[str,
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Run the sweep; output is independent of the worker count.  At most
-    one worker per trial is started, and one worker runs in this process."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    """Run the sweep; output is independent of the worker count.  At
+    workers = 1 the trials run in this process; at workers = k >= 2 a pool
+    starts min(k, trials) processes and this process only waits."""
+    workers = _integer("workers", workers, 1)
     start = time.monotonic()
     workers = min(workers, config.trials)
     trial = partial(_run_trial, config, config.base.build(config.n))
@@ -354,12 +349,8 @@ class CliqueStats:
 def clique_stats(n: int, p: float, m: int, trials: int, seed: int) -> CliqueStats:
     """Empirical mean count of K_{m+1} in the random graph alone, next to the
     analytic first-moment value."""
-    n, m = _integer("n", n), _integer("m", m)
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    n, m = _integer("n", n), _integer("power m", m, 1)
+    trials, seed = _integer("trials", trials, 1), _integer("seed", seed)
     total = 0
     for t in range(trials):
         g = sample_gnp(n, p, trial_seed(seed, t))

@@ -84,12 +84,9 @@ class PartitionedPath:
     labels: str
 
     def __post_init__(self):
-        m = self.m
-        if type(m) is not int:  # the common case skips the call
-            m = _integer("power m", m)
+        m = _integer("power m", self.m, 1)
+        if m is not self.m:  # a numpy integer, stored as an int
             object.__setattr__(self, "m", m)
-        if m < 1:
-            raise ValueError(f"power must be >= 1, got {m}")
         if not isinstance(self.labels, str):
             raise TypeError(f"labels must be a str, got {type(self.labels).__name__}")
         stray = self.labels.translate(_NOT_A_SIDE)
@@ -109,8 +106,7 @@ class SegmentList:
     first_side: str
 
     def __post_init__(self):
-        if self.sizes and min(self.sizes) < 1:
-            raise ValueError("segment sizes must be positive")
+        _integer("segment size", min(self.sizes, default=1), 1)  # the least size bounds them all
         if self.first_side not in (SIDE_A, SIDE_B):
             raise ValueError("first_side must be A or B")
 
@@ -158,6 +154,7 @@ def normalized_edge_closed_form(seg: SegmentList, m: int) -> int:
     S_{i+1} depends only on the middle size: (m - x_i)(m - x_i + 1)/2.
     Requires the list to satisfy (a) and (b).
     """
+    m = _integer("power m", m, 1)
     if not seg.is_normalized(m):
         raise ValueError("closed form only applies to normalized segment lists")
     sizes = seg.sizes
@@ -171,11 +168,7 @@ def normalized_edge_closed_form(seg: SegmentList, m: int) -> int:
 def same_side_edge_floor(m: int, L: int) -> Fraction:
     """The guaranteed same-side edge count d*L - 2m^2 for valid labelings,
     where d is the optimal limiting braid density for power m."""
-    m, L = _integer("power m", m), _integer("length L", L)
-    if m < 2:
-        raise ValueError(f"power must be >= 2, got {m}")
-    if L < 1:
-        raise ValueError(f"length must be >= 1, got {L}")
+    m, L = _integer("power m", m, 2), _integer("length L", L, 1)
     return braid_density_limit(m, optimal_ell(m)) * L - 2 * m * m
 
 
@@ -230,8 +223,7 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
     """
     m = path.m
     L = path.L
-    if budget is None:
-        budget = 4 * L * L
+    budget = 4 * L * L if budget is None else _integer("budget", budget, 0)
     original = same_side_edge_count(path)
 
     seg = segments(path)
@@ -378,15 +370,14 @@ def _valid_mask_chunks(L: int, m: int):
 def iter_valid_label_masks(L: int, m: int):
     """All side-label bitmasks of length L with no m+1 consecutive equal bits,
     as Python ints in ascending order.  L must lie in 0..62 and m be >= 1."""
-    L, m = _integer("length L", L), _integer("power m", m)
-    if m < 1:
-        raise ValueError(f"power m must be >= 1, got m={m}")
+    L, m = _integer("length L", L), _integer("power m", m, 1)
     _check_mask_length(L)
     return (x for chunk in _valid_mask_chunks(L, m) for x in chunk.tolist())
 
 
 def mask_to_labels(x: int, L: int) -> str:
     """The labeling of the low L bits of x (bit i set: position i is B)."""
+    L = _integer("length L", L, 0)
     full = (1 << L) - 1
     # the sentinel bit L fixes the digit count at L + 1 (L may be 0); bin()
     # puts "0b" before it
@@ -398,9 +389,7 @@ def check_edge_floor_exhaustive(m: int, L_max: int) -> list[EdgeFloorRow]:
     same-side edge count meets same_side_edge_floor(m, L); reports the
     minimizing labeling per L (first in mask order among ties).  L_max must
     lie in 0..62."""
-    m, L_max = _integer("power m", m), _integer("L_max", L_max)
-    if m < 2:
-        raise ValueError(f"power must be >= 2, got {m}")
+    m, L_max = _integer("power m", m, 2), _integer("L_max", L_max)
     _check_mask_length(L_max)
     rows = []
     for L in range(1, L_max + 1):
@@ -451,8 +440,7 @@ def clique_free(path: PartitionedPath, clique_size: int) -> bool:
     which is why this scan does not build the `_far_counts` table that the
     structure checks read their precondition from.
     """
-    if clique_size < 1:
-        raise ValueError(f"clique_size must be >= 1, got {clique_size}")
+    clique_size = _integer("clique_size", clique_size, 1)
     return _mask_clique_free(_label_mask(path.labels), len(path.labels), path.m, clique_size)
 
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
+from .graphs import _integer
+
 CLASSIC_MS = frozenset({2, 3, 4, 8})
 
 REGIME_CLASSIC = "classic-threshold"
@@ -35,8 +37,7 @@ REGIME_OVER = "over-threshold"
 
 def braid_density_limit(m: int, ell: int) -> Fraction:
     """(C(ell,2) + C(m-ell+1,2)) / ell: the t -> infinity braid density for r = m - ell."""
-    if m < 2:
-        raise ValueError(f"power must be >= 2, got m={m}")
+    m, ell = _integer("power m", m, 2), _integer("clique size ell", ell)
     if not 1 <= ell <= m:
         raise ValueError(f"ell must lie in [1, m], got ell={ell}, m={m}")
     return Fraction(comb(ell, 2) + comb(m - ell + 1, 2), ell)
@@ -45,8 +46,7 @@ def braid_density_limit(m: int, ell: int) -> Fraction:
 def optimal_ell_sq(m: int) -> int:
     """Square of the real minimizer of braid_density_limit(m, .): m*(m+1)/2,
     an integer because m(m+1) is even."""
-    if m < 2:
-        raise ValueError(f"power must be >= 2, got m={m}")
+    m = _integer("power m", m, 2)
     return m * (m + 1) // 2
 
 
@@ -95,8 +95,7 @@ REFERENCE_ALPHAS = {
 
 
 def threshold_exponent(m: int) -> ThresholdRecord:
-    if m < 2:
-        raise ValueError(f"power must be >= 2, got m={m}")
+    m = _integer("power m", m, 2)
     ell = optimal_ell(m)
     dens = braid_density_limit(m, ell)
     r = m - ell
@@ -122,6 +121,7 @@ def braid_regime_report(m_lo: int, m_hi: int) -> list[RegimeRow]:
 
     The inequality holds for m = 7 and every m >= 10; all failures sit below 10.
     """
+    m_lo, m_hi = _integer("m_lo", m_lo), _integer("m_hi", m_hi)
     if not 2 <= m_lo <= m_hi:
         raise ValueError(f"need 2 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
     rows = []
@@ -215,6 +215,7 @@ KNOWN_INCONSISTENT_SUMMARY_CELLS = {
 
 def summary_ell(m: int) -> int:
     """Smallest ell with ell >= (m - ell)*(m - ell + 1)."""
+    m = _integer("power m", m, 2)
     for ell in range(1, m + 1):
         r = m - ell
         if ell >= r * (r + 1):
@@ -239,8 +240,7 @@ def build_tables(m_max: int = 10) -> TablesReport:
     cells and the optimal-ell cells are recomputed.  m_max (>= 2) bounds
     the summary rows.
     """
-    if m_max < 2:
-        raise ValueError(f"need m_max >= 2, got {m_max}")
+    m_max = _integer("m_max", m_max, 2)
     cells = []
 
     def compare(table, m, columns, computed, pinned) -> None:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from . import braids, density, thresholds
 from . import partitioned_paths as pp
+from .graphs import _integer
 
 # power m -> structure check; the clique size it forbids is pp.FORBIDDEN_CLIQUE_SIZE[m]
 STRUCTURE_CHECKS = {6: pp.m6_structure_check, 9: pp.m9_structure_check}
@@ -45,7 +46,7 @@ def tables() -> Check:
 def regime(m_max: int) -> Check:
     """ell < r(r+1) for m = 2..m_max (checked: values of m); it may fail
     only below m = 10, and not at m = 7."""
-    rows = thresholds.braid_regime_report(2, m_max)
+    rows = thresholds.braid_regime_report(2, _integer("m_max", m_max))
     failing = [r.m for r in rows if not r.holds]
     ok = all(r.holds for r in rows if r.m == 7 or r.m >= 10) and all(m < 10 for m in failing)
     lines = [f"m={r.m}: ell={r.ell}, r={r.r}, r(r+1)={r.r_capacity}, {'holds' if r.holds else 'fails'}"
@@ -74,6 +75,7 @@ def structure(m: int, lmax: int) -> Check:
     leaves each side at least m + 2 - clique_size >= k vertices (3 >= 2 at
     m = 6, 4 >= 3 at m = 9), and then `identity_ok` requires kL - k(k+1).
     """
+    m, lmax = _integer("power m", m), _integer("lmax", lmax)
     if m not in STRUCTURE_CHECKS:
         raise ValueError(f"structure checks exist for m in {sorted(STRUCTURE_CHECKS)}, got {m}")
     pp._check_mask_length(lmax)  # before enumerating the shorter lengths
@@ -98,6 +100,7 @@ def structure(m: int, lmax: int) -> Check:
 def tail_margins(ell_max: int, t_max: int) -> Check:
     """Positive truncation margins for r + 2 <= ell <= min(ell_max,
     r(r+1) - 1) and 2 <= t <= t_max (checked: (ell, r, t) triples)."""
+    ell_max, t_max = _integer("ell_max", ell_max), _integer("t_max", t_max)
     count, bad = 0, None
     for r in range(1, ell_max):
         for ell in range(r + 2, min(ell_max, r * (r + 1) - 1) + 1):
@@ -115,6 +118,7 @@ def balanced(ell_max: int, t_max: int) -> Check:
     and t * ell <= density.BRUTE_CAP (checked: braids, one detail line each):
     strictly balanced at the closed form when ell < r(r+1), maximum ell/2 (a
     clique) otherwise."""
+    ell_max, t_max = _integer("ell_max", ell_max), _integer("t_max", t_max)
     lines, bad = [], None
     for ell in range(2, ell_max + 1):
         for r in range(1, ell + 1):

@@ -150,7 +150,7 @@ def test_search_budget_below_one_is_usage_error(tmp_path, capsys):
         code = main(["search", "--input", str(f), "--m", "2", "--budget", budget])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "budget must be positive or None" in captured.err
+        assert captured.err == f"error: budget must be >= 1, got {budget}\n"
 
 
 def test_verify_targets(capsys):
@@ -205,7 +205,7 @@ def test_threshold_table_m_max_below_two_is_usage_error(capsys, argv):
     code = main(["threshold-table", *argv.split()])
     captured = capsys.readouterr()
     assert (code, captured.out) == (EXIT_USAGE, "")
-    assert captured.err.startswith("error: need m_max >= 2")
+    assert captured.err == f"error: m_max must be >= 2, got {argv.split()[1]}\n"
 
 
 @pytest.mark.parametrize("eps", ["1/0", "2/0", "0.1e"])

@@ -223,6 +223,14 @@ def test_first_moment_profile_domain():
         first_moment_profile(Graph(3), 100, 0.5)  # no edges
 
 
+def test_first_moment_profile_reads_p_as_a_number():
+    # "0.3" failed comparing a float with a str, and True got the p-range message
+    g = complete_graph(3)
+    for bad in ("0.3", True):
+        with pytest.raises(ValueError, match=f"^p must be a number, got {bad!r}$"):
+            first_moment_profile(g, 100, bad)
+
+
 def test_truncation_margin_low_values():
     assert truncation_margin_low(4, 3, 2, 0) == 12  # (ell-1)/2 * (r(r+1)-ell)
     for t in range(2, 7):

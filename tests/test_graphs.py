@@ -219,12 +219,21 @@ def _is_operator_index(node) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "operator")
 
 
+def _bound_messages(node) -> int:
+    """The string constants under node (f-string parts included) that word a
+    lower bound."""
+    return sum(isinstance(n, ast.Constant) and isinstance(n.value, str) and "must be >=" in n.value
+               for n in ast.walk(node))
+
+
 def test_each_input_rule_has_one_home():
-    """graphs._integer is the one use of operator.index in the package, and
-    no module but graphs defines an integer or number rule of its own."""
-    uses, rules, integer = [], [], None
+    """graphs._integer is the one use of operator.index in the package and
+    the one place that words a lower bound (`must be >=`), and no module but
+    graphs defines an integer or number rule of its own."""
+    uses, rules, integer, bounds = [], [], None, []
     for path in sorted(Path(graphs.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        bounds += [path.name] * _bound_messages(tree)
         for node in ast.walk(tree):
             uses += [path.name] * _is_operator_index(node)
             if isinstance(node, ast.FunctionDef) and node.name in ("_integer", "_number", "_json_int"):
@@ -233,6 +242,7 @@ def test_each_input_rule_has_one_home():
                     integer = node
     assert rules == [("graphs.py", "_integer"), ("graphs.py", "_number")]
     assert uses == ["graphs.py"] and sum(map(_is_operator_index, ast.walk(integer))) == 1
+    assert bounds == ["graphs.py"] and _bound_messages(integer) == 1
 
 
 def test_sample_gnp_endpoints():
@@ -464,6 +474,38 @@ def test_induced_subgraph():
         induced_subgraph(g, [0, 0, 1])
     with pytest.raises(ValueError):
         induced_subgraph(g, [7, 8])
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: induced_edge_count(complete_graph(3), [0, -1]), ValueError,
+                 "vertex -1 out of range for n=3", id="edge-count-negative"),  # was "negative shift count"
+    pytest.param(lambda: induced_edge_count(complete_graph(3), [0, 7]), ValueError,
+                 "vertex 7 out of range for n=3", id="edge-count-above-n"),  # was an IndexError
+    pytest.param(lambda: induced_edge_count(complete_graph(3), [0, 0, 1]), ValueError,
+                 "duplicate vertices in subset", id="edge-count-duplicate"),  # returned 1
+    pytest.param(lambda: induced_edge_count(complete_graph(3), [0, 1.0]), TypeError,
+                 "vertex must be an integer, got float 1.0", id="edge-count-float"),
+    pytest.param(lambda: induced_subgraph(complete_graph(3), [True, 0]), TypeError,
+                 "vertex must be an integer, got bool True", id="subgraph-bool"),  # a 2-vertex graph
+    pytest.param(lambda: induced_subgraph(complete_graph(3), [2, -1]), ValueError,
+                 "vertex -1 out of range for n=3", id="subgraph-negative"),
+    pytest.param(lambda: path_power(4, 1).degree(-1), ValueError,
+                 "vertex -1 out of range for n=4", id="degree-negative"),  # vertex 3's degree
+    pytest.param(lambda: path_power(4, 1).degree(4), ValueError,
+                 "vertex 4 out of range for n=4", id="degree-above-n"),
+    pytest.param(lambda: path_power(4, 1).degree(True), TypeError,
+                 "vertex must be an integer, got bool True", id="degree-bool"),
+])
+def test_vertices_share_one_rule(call, error, match):
+    with pytest.raises(error, match=f"^{match}$"):
+        call()
+
+
+def test_vertices_take_numpy_integers_by_value():
+    g = path_power(6, 2)
+    assert induced_subgraph(g, np.array([4, 0, 2])) == induced_subgraph(g, [4, 0, 2])
+    assert induced_edge_count(g, (np.int8(1), np.uint64(2))) == 1
+    assert g.degree(np.int64(0)) == 2
 
 
 def test_induced_edge_count_matches_subgraph():

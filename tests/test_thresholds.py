@@ -214,6 +214,6 @@ def test_table_cell_fields():
 
 def test_build_tables_m_max_below_two_rejected():
     for m_max in (1, 0, -5):
-        with pytest.raises(ValueError, match="need m_max >= 2"):
+        with pytest.raises(ValueError, match=f"^m_max must be >= 2, got {m_max}$"):
             build_tables(m_max)
     assert [c.m for c in build_tables(2).cells if c.table == "summary"] == [2] * 7
