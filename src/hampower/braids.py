@@ -35,8 +35,9 @@ def bridge(r: int) -> Graph:
     return Graph(2 * r, edges)
 
 
-def braid_edges(ell: int, r: int, t: int, offset: int = 0) -> list[tuple[int, int]]:
-    """Edge list of one braid copy, vertices offset..offset + t*ell - 1."""
+def _braid_edges(ell: int, r: int, t: int, offset: int = 0) -> list[tuple[int, int]]:
+    """Edge list of one braid copy, vertices offset..offset + t*ell - 1, for
+    parameters that check_braid_params has passed."""
     edges = []
     for c in range(t):
         lo = offset + c * ell
@@ -58,7 +59,7 @@ def braid(ell: int, r: int, t: int) -> Graph:
     t*ell vertices under the canonical labeling.
     """
     ell, r, t, _ = check_braid_params(ell, r, t)
-    return Graph(t * ell, braid_edges(ell, r, t))
+    return Graph(t * ell, _braid_edges(ell, r, t))
 
 
 def s_braids(ell: int, r: int, t: int, s: int) -> Graph:
@@ -66,7 +67,7 @@ def s_braids(ell: int, r: int, t: int, s: int) -> Graph:
     ell, r, t, s = check_braid_params(ell, r, t, s)
     edges = []
     for copy in range(s):
-        edges.extend(braid_edges(ell, r, t, offset=copy * t * ell))
+        edges.extend(_braid_edges(ell, r, t, offset=copy * t * ell))
     return Graph(s * t * ell, edges)
 
 

@@ -57,19 +57,9 @@ def _cmd_density(args) -> int:
     if args.phi:
         n, p = int(args.phi[0]), float(args.phi[1])
         rep = density.first_moment_profile(g, n, p)
-        payload = {
-            "log_whole": rep.log_whole,
-            "log_min": rep.log_min,
-            "min_vertices": list(rep.min_vertices),
-            "min_profile": list(rep.min_profile),
-        }
-        print(json.dumps(payload))
-        return EXIT_OK
-    if args.opt:
-        rep = density.max_density_opt(g)
     else:
-        rep = density.max_density_brute(g)
-    print(json.dumps(rep.to_json_dict()))
+        rep = (density.max_density_opt if args.opt else density.max_density_brute)(g)
+    print(json.dumps(graphs._to_json(rep)))
     return EXIT_OK
 
 
@@ -174,7 +164,7 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     g = graphs.load_edge_list(args.input)
     outcome = hamsearch.contains_ham_power(g, args.m, args.budget)
-    print(json.dumps(outcome.to_json_dict()))
+    print(json.dumps(graphs._to_json(outcome)))
     if outcome.verdict == hamsearch.FOUND and args.witness_out:
         with open(args.witness_out, "w", encoding="ascii") as f:
             f.write(" ".join(map(str, outcome.witness)) + "\n")

@@ -53,13 +53,6 @@ class DensityReport:
     witness: tuple[int, ...]
     method: str  # "brute" | "optimized"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": str(self.value),
-            "witness": list(self.witness),
-            "method": self.method,
-        }
-
 
 def one_density(g: Graph) -> Fraction:
     """e/(v - 1), exact."""

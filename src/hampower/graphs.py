@@ -18,11 +18,13 @@ The package's argument rules live here too: `_integer` (an int, numpy
 integers by value, never a bool or a float, and at least a given bound,
 in one wording), `_number` (a number, never a bool, or a string such as
 "1/8" where a Fraction is wanted) and `_vertices` (distinct vertices of a
-graph).
+graph).  Their way out is `_to_json`, the one JSON writer of reports and
+configs: a dataclass leaves as its fields, a Fraction as a "p/q" string.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from fractions import Fraction
 from functools import cached_property
@@ -350,7 +352,23 @@ def induced_edge_count(g: Graph, vertices) -> int:
 
 
 # ---------------------------------------------------------------------------
-# I/O: edge-list text format and DOT export (both byte-stable)
+# I/O: edge-list text format, DOT export and JSON values (all byte-stable)
+
+
+def _to_json(value):
+    """value as plain JSON data: a dataclass as a dict of its fields in
+    declaration order, a tuple or list as a list, a Fraction as its "p/q"
+    string; ints, floats, strings, bools and None pass unchanged.  Any other
+    type raises TypeError naming it, rather than being stringified."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    raise TypeError(f"no JSON form for type {type(value).__name__}")
 
 
 def to_edge_list(g: Graph) -> str:
@@ -368,7 +386,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError(f"header must be 'n m', got {rows[0]!r}")
     n, m = int(head[0]), int(head[1])
-    edges = []
+    edges = set()
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -376,7 +394,9 @@ def parse_edge_list(text: str) -> Graph:
         u, v = int(parts[0]), int(parts[1])
         if not u < v:
             raise ValueError(f"edge lines must satisfy u < v, got {ln!r}")
-        edges.append((u, v))
+        if (u, v) in edges:
+            raise ValueError(f"duplicate edge line {ln!r}")
+        edges.add((u, v))
     g = Graph(n, edges)
     if g.num_edges != m:
         raise ValueError(f"header claims {m} edges but {g.num_edges} parsed")

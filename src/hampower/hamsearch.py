@@ -84,13 +84,6 @@ class SearchOutcome:
     witness: tuple[int, ...] | None
     nodes_expanded: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": None if self.witness is None else list(self.witness),
-            "nodes_expanded": self.nodes_expanded,
-        }
-
 
 def verify_witness(g: Graph, m: int, order) -> bool:
     """True iff every pair at cyclic distance <= m in `order` is an edge of g.

@@ -37,6 +37,7 @@ from .graphs import (
     Graph,
     _integer,
     _number,
+    _to_json,
     complete_graph,
     count_cliques,
     gnp_process,
@@ -121,12 +122,7 @@ class BaseGraphSpec:
         return g
 
     def to_json_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.eps is not None:
-            d["eps"] = str(self.eps)
-        if self.path is not None:
-            d["path"] = self.path
-        return d
+        return _to_json(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "BaseGraphSpec":
@@ -196,22 +192,7 @@ class ExperimentConfig:
         return self.p_grid
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.p_grid, ExponentGrid):
-            grid = {
-                "alpha": str(self.p_grid.alpha),
-                "mu_list": [str(mu) for mu in self.p_grid.mu_list],
-            }
-        else:
-            grid = list(self.p_grid)
-        return {
-            "n": self.n,
-            "m": self.m,
-            "base": self.base.to_json_dict(),
-            "p_grid": grid,
-            "trials": self.trials,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
+        return _to_json(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":

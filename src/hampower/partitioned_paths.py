@@ -106,7 +106,11 @@ class SegmentList:
     first_side: str
 
     def __post_init__(self):
-        _integer("segment size", min(self.sizes, default=1), 1)  # the least size bounds them all
+        sizes = self.sizes
+        if type(sizes) is not tuple or not set(map(type, sizes)) <= {int}:  # one scan in C
+            sizes = tuple(_integer("segment size", x) for x in sizes)
+            object.__setattr__(self, "sizes", sizes)
+        _integer("segment size", min(sizes, default=1), 1)  # the least size bounds them all
         if self.first_side not in (SIDE_A, SIDE_B):
             raise ValueError("first_side must be A or B")
 
@@ -357,11 +361,12 @@ def _valid_mask_chunks(L: int, m: int):
     """The valid label masks of length L (no m+1 consecutive equal bits), in
     ascending order, as int64 arrays holding one chunk's survivors each."""
     full = (1 << L) - 1
+    rounds = min(m, L)  # L rounds already clear every bit of an L-bit mask
     for lo in range(0, 1 << L, _CHUNK):
         x = np.arange(lo, min(lo + _CHUNK, 1 << L), dtype=np.int64)
-        # after m steps, bit i of ones (zeros) is set iff bits i..i+m of x are all 1 (0)
+        # after k steps, bit i of ones (zeros) is set iff bits i..i+k of x are all 1 (0)
         ones, zeros = x, ~x & full
-        for _ in range(m):
+        for _ in range(rounds):
             ones = ones & (ones >> 1)
             zeros = zeros & (zeros >> 1)
         yield x[(ones | zeros) == 0]

@@ -120,11 +120,9 @@ def balanced(ell_max: int, t_max: int) -> Check:
     clique) otherwise."""
     ell_max, t_max = _integer("ell_max", ell_max), _integer("t_max", t_max)
     lines, bad = [], None
-    for ell in range(2, ell_max + 1):
+    for ell in range(2, min(ell_max, density.BRUTE_CAP // 2) + 1):
         for r in range(1, ell + 1):
-            for t in range(2, t_max + 1):
-                if t * ell > density.BRUTE_CAP:
-                    continue
+            for t in range(2, min(t_max, density.BRUTE_CAP // ell) + 1):
                 g = braids.braid(ell, r, t)
                 rep = density.max_density_brute(g)
                 braid_regime = ell < r * (r + 1)

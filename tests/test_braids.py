@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from hampower import braids
 from hampower.braids import braid, braid_edge_count, bridge, s_braids
 from hampower.graphs import complete_graph, path_power
 from hampower.partitioned_paths import check_edge_floor_exhaustive, iter_valid_label_masks, same_side_edge_floor
@@ -100,3 +101,13 @@ def test_s_braids():
 def test_braid_and_label_mask_integer_arguments(fn, args, name):
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got (bool|float)"):
         fn(*args)
+
+
+def test_braid_edges_are_built_only_behind_the_parameter_check():
+    # the public braid_edges(3, 5, 2) returned edges at vertex -2, and
+    # braid_edges(3, 1, 2.0) failed without naming the argument
+    assert not hasattr(braids, "braid_edges")
+    with pytest.raises(ValueError, match="bridge width must satisfy 1 <= r <= ell, got r=5, ell=3"):
+        braid(3, 5, 2)
+    with pytest.raises(TypeError, match="^clique count t must be an integer, got float 2.0$"):
+        s_braids(3, 1, 2.0, 1)

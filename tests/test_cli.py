@@ -305,6 +305,37 @@ def test_wrong_shape_sweep_config_is_usage_error(tmp_path, capsys, cfg, message)
     assert err.startswith("error: ") and message in err
 
 
+def test_duplicate_edge_line_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "dup.edges"
+    f.write_text("3 1\n1 2\n1 2\n")
+    code = main(["density", "--input", str(f)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: duplicate edge line '1 2'\n"
+
+
+def run_module(*argv):
+    # a separate process, so a bound that no longer limits the work times
+    # out instead of hanging the suite
+    return subprocess.run([sys.executable, "-m", "hampower", *argv], capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_verify_edge_floor_work_is_bounded_by_the_length():
+    # m >= L: L shift rounds clear every L-bit mask, so a huge m costs no more
+    proc = run_module("verify", "edge-floor", "--m", "1000000000", "--lmax", "2")
+    assert proc.returncode == EXIT_OK and proc.stdout.startswith("[edge-floor] PASS")
+
+
+def test_verify_balanced_work_is_bounded_by_the_cap(capsys):
+    # braids with t * ell > BRUTE_CAP = 20 are never checked, so bounds past
+    # ell = 10 and t = 10 print the same lines
+    proc = run_module("verify", "balanced", "--ell-max", "1000000000", "--t-max", "1000000000",
+                      "--verbose")
+    code, out = run_cli(capsys, "verify", "balanced", "--ell-max", "10", "--t-max", "10", "--verbose")
+    assert proc.returncode == code == EXIT_OK and proc.stdout == out
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hampower", "threshold-table", "--m-max", "5", "--format", "csv"],
@@ -323,6 +354,7 @@ GOLDEN_CLI_INPUTS = {
     "braid": lambda: braids.braid(4, 3, 3),
     "two_k4": lambda: braids.s_braids(4, 1, 1, 2),
     "gnp": lambda: graphs.sample_gnp(12, 0.35, 2),
+    "patched": lambda: graphs.patched_bipartite(12, "1/12"),
 }
 
 GOLDEN_CLI_CALLS = {
@@ -357,6 +389,9 @@ GOLDEN_CLI_CALLS = {
     "density-unbalanced": ["density", "--input", "{two_k4}", "--balanced"],
     "density-phi": ["density", "--input", "{gnp}", "--phi", "100", "0.3"],
     "normalize": ["normalize", "--m", "3", "--labels", "ABAAAA", "--transcript"],
+    "search-found": ["search", "--input", "{gnp}", "--m", "1"],
+    "search-not-found": ["search", "--input", "{patched}", "--m", "2"],
+    "search-unknown": ["search", "--input", "{patched}", "--m", "2", "--budget", "20"],
 }
 
 GOLDEN_CLI_SHA256 = {
@@ -389,6 +424,9 @@ GOLDEN_CLI_SHA256 = {
     "density-unbalanced": "8692a24698987d025611643657772100edb438277b720a0fe417b3916be4226a",
     "density-phi": "0d1ab16b294a8b35550169d1e36fb5ea3a820fb59f3092bed668aa9275ee0708",
     "normalize": "43f32f8625c6df348feca10d67d4302eac8b5a93ea3e116a6c3efa1270d42866",
+    "search-found": "cc1a0a379e6a1fc92edf745763e2a073b418eafa0d4abe665bf6f6c7de4f7948",
+    "search-not-found": "c317afe9ee80f41e623f5448e65f5c3f288db720db60d398c647e337053d511a",
+    "search-unknown": "ce1d2aab2ac0f2a2a7f5ff4d79a17805fb2800578e28be0bc11b467eb9168e41",
 }
 
 

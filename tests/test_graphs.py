@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hampower import graphs
+from hampower import density, graphs
 from hampower.graphs import (
     Graph,
     complete_graph,
@@ -530,6 +530,26 @@ def test_edge_list_rejects_malformed():
         parse_edge_list("3 1\n1 0\n")  # u < v required
     with pytest.raises(ValueError):
         parse_edge_list("3 2\n0 1\n")  # header count mismatch
+
+
+def test_edge_list_rejects_duplicate_lines():
+    # "3 1 / 1 2 / 1 2" used to parse as a one-edge graph: the header was
+    # compared only with the count of the merged edges
+    with pytest.raises(ValueError, match="^duplicate edge line '1 2'$"):
+        parse_edge_list("3 1\n1 2\n1 2\n")
+    with pytest.raises(ValueError, match="^duplicate edge line '0  1'$"):  # the line as written
+        parse_edge_list("3 2\n0 1\n1 2\n0  1\n")
+
+
+def test_json_writer_maps_fields_and_refuses_other_types():
+    rep = density.DensityReport(Fraction(3, 2), (0, 1), "brute")
+    assert graphs._to_json(rep) == {"value": "3/2", "witness": [0, 1], "method": "brute"}
+    assert graphs._to_json([None, True, 2, 0.5, "x", (Fraction(-1, 8),)]) == [None, True, 2, 0.5, "x", ["-1/8"]]
+    # nothing is stringified by default: a set or an array is a mistake
+    for bad, name in [({1, 2}, "set"), (np.arange(3), "ndarray"), (np.int64(3), "int64"),
+                      ((1, {2: 3}), "dict")]:
+        with pytest.raises(TypeError, match=f"^no JSON form for type {name}$"):
+            graphs._to_json(bad)
 
 
 def test_dot_output_stable():

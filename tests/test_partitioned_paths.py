@@ -91,6 +91,21 @@ def test_segment_list_round_trip():
     assert segments(PartitionedPath(3, seg.to_labels())) == seg
 
 
+def test_segment_sizes_go_through_the_integer_rule():
+    # (1, 2.5) used to build and fail later in to_labels, (1, True) built,
+    # and a list was stored as given: unhashable and unequal to the tuple
+    with pytest.raises(TypeError, match="^segment size must be an integer, got float 2.5$"):
+        SegmentList((1, 2.5), "A")
+    with pytest.raises(TypeError, match="^segment size must be an integer, got bool True$"):
+        SegmentList((1, True), "A")
+    seg = SegmentList([1, np.int64(2)], "A")
+    assert seg == SegmentList((1, 2), "A") and hash(seg) == hash(SegmentList((1, 2), "A"))
+    assert type(seg.sizes) is tuple and [type(x) for x in seg.sizes] == [int, int]
+    assert seg.to_labels() == "ABB"
+    with pytest.raises(ValueError, match="^segment size must be >= 1, got 0$"):
+        SegmentList([2, 0], "A")
+
+
 def test_path_field_types():
     for m in (2.5, 2.0, True, False, "3", None):
         with pytest.raises(TypeError, match="power m must be an integer"):
