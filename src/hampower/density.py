@@ -13,11 +13,14 @@ nonempty subset).  The cut for anchor v only needs the vertices v..n-1: a
 denser subset holding a smaller vertex would already have stopped the scan
 at that vertex.  So one network per ratio serves every anchor: each anchor
 augments the flow the one before it left, and a failed anchor is deleted
-with the flow through it.  The cut itself needs no search of its own:
-Dinic's last level search, the one that no longer reaches the sink, has
-marked exactly the residual source side.  Every lambda visited is a realized
-density with denominator <= v - 1, so termination and exactness are
-automatic.
+with the flow through it, its dead arcs cut off the front of the source's
+arc list.  The cut itself needs no search of its own: Dinic's last level
+search, the one that no longer reaches the sink, has marked exactly the
+residual source side; every other level search stops as soon as it reaches
+the sink.  Augmenting paths are followed with an explicit stack of arcs, so
+no path is too long for the recursion limit.  Every lambda visited is a
+realized density with denominator <= v - 1, so termination and exactness
+are automatic.
 
 Also here: the closed-form braid density (its edge count is
 `braids.braid_edge_count`), strict-balance certification, first-moment
@@ -29,10 +32,10 @@ subgraphs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 
@@ -159,7 +162,11 @@ def is_strictly_balanced(g: Graph):
 
 
 class _Dinic:
-    """Max-flow with arbitrary-precision integer capacities."""
+    """Max-flow with arbitrary-precision integer capacities.
+
+    Each node's arcs are `[to, cap, rev]` lists, `rev` being the index of
+    the reverse arc in the list of `to`.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -185,53 +192,86 @@ class _Dinic:
         arc[1] += flow
         self.g[arc[0]][arc[2]][1] -= flow
 
-    def _levels(self, s: int):
+    def _levels(self, s: int, t: int):
+        """Breadth-first levels from s in the residual network (-1: none),
+        given up to the moment t gets one, or to every node reachable from s
+        when t is not reachable."""
         level = [-1] * self.n
         level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
+        q = [s]
+        for u in q:
+            nxt = level[u] + 1
             for v, cap, _ in self.g[u]:
                 if cap > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+                    level[v] = nxt
+                    if v == t:
+                        return level
                     q.append(v)
         return level
 
-    def _push(self, u: int, t: int, f: int, level, it) -> int:
-        if u == t:
-            return f
-        out = self.g[u]
-        nxt = level[u] + 1
-        while it[u] < len(out):
-            e = out[it[u]]
-            v, cap, rev = e
-            if cap > 0 and level[v] == nxt:
-                d = self._push(v, t, f if f < cap else cap, level, it)
-                if d > 0:
-                    e[1] -= d
-                    self.g[v][rev][1] += d
-                    return d
-            it[u] += 1
-        return 0
+    def _blocking_flow(self, s: int, t: int, level) -> int:
+        """Saturates every s-t path of the level graph; returns the flow added.
+
+        Depth-first along the arcs that go one level up, keeping the path as
+        a stack of arcs, so the path length is not bounded by the recursion
+        limit.  `it[u]` is the first arc of u not yet known to be useless in
+        this phase; a node whose arcs run out is left for good.
+        """
+        g = self.g
+        it = [0] * self.n
+        flow = 0
+        path: list[list[int]] = []  # arcs from s to u
+        tails: list[int] = []       # the tail of each arc of path
+        u = s
+        while True:
+            if u == t:
+                # the first arc of least residual capacity: the first one
+                # the augmentation saturates
+                first_sat = min(path, key=itemgetter(1))
+                k = path.index(first_sat)
+                f = first_sat[1]
+                for arc in path:
+                    arc[1] -= f
+                    g[arc[0]][arc[2]][1] += f
+                flow += f
+                u = tails[k]  # resume below the first saturated arc
+                del path[k:], tails[k:]
+                continue
+            out = g[u]
+            nxt = level[u] + 1
+            for i in range(it[u], len(out)):
+                arc = out[i]
+                if arc[1] > 0 and level[arc[0]] == nxt:
+                    it[u] = i
+                    path.append(arc)
+                    tails.append(u)
+                    u = arc[0]
+                    break
+            else:  # u is a dead end: retreat and skip the arc into it
+                if u == s:
+                    return flow
+                it[u] = len(out)
+                path.pop()
+                u = tails.pop()
+                it[u] += 1
 
     def max_flow(self, s: int, t: int):
         """(flow value, levels of the final residual network).
 
-        The last level search is the one that fails to reach t, so the
-        vertices it leveled (level >= 0) are exactly those reachable from s
-        in the residual network: the source side of a minimum cut.
+        Each phase's level search stops once t has a level.  That is exact:
+        a breadth-first search levels every node nearer s than t before it
+        reaches t, and the blocking flow moves only along arcs one level up,
+        so every path it augments runs through those nodes.  The last level
+        search is the one that fails to reach t, so it runs to the end: the
+        nodes it levelled (level >= 0) are exactly those reachable from s in
+        the residual network, the source side of a minimum cut.
         """
         flow = 0
         while True:
-            level = self._levels(s)
+            level = self._levels(s, t)
             if level[t] < 0:
                 return flow, level
-            it = [0] * self.n
-            while True:
-                f = self._push(s, t, 1 << 300, level, it)
-                if f == 0:
-                    break
-                flow += f
+            flow += self._blocking_flow(s, t, level)
 
 
 def _first_denser_subset(n: int, edges: list, lam: Fraction):
@@ -258,6 +298,16 @@ def _first_denser_subset(n: int, edges: list, lam: Fraction):
     residual network of any maximum flow form the same set, the minimal
     source side of a minimum cut; so the witness is the one a network built
     afresh for the anchor would give.
+
+    The source's arcs are laid out in deletion order: anchor v, then the
+    edges whose lower endpoint is v, for v = 0, 1, ...  So the arcs a
+    failed anchor kills form a prefix of the source's list, and that prefix
+    is cut off: every level search and every blocking flow scans that list,
+    and would otherwise step over all the dead arcs of the anchors before.
+    Cutting it off leaves the `rev` indices of the reverse arcs into the
+    source stale.  They are never read: an arc is read through its reverse
+    only when flow moves along it, no search levels the source twice, and
+    no augmenting path enters the source, whose level is 0.
     """
     a, b = lam.numerator, lam.denominator
     m = len(edges)
@@ -265,12 +315,17 @@ def _first_denser_subset(n: int, edges: list, lam: Fraction):
     node = 1 + m  # vertex v is node + v
     inf = b * m + a * n + 1
     net = _Dinic(sink + 1)
-    anchor_arc = [net.add(src, node + v, 0) for v in range(n)]
+    anchor_arc = []
+    edge_arcs = []
+    for v in range(n):
+        anchor_arc.append(net.add(src, node + v, 0))
+        for i in range(len(edge_arcs), m):
+            u, w = edges[i]
+            if u != v:
+                break
+            edge_arcs.append((net.add(src, i + 1, b), net.add(i + 1, node + u, inf),
+                              net.add(i + 1, node + w, inf)))
     sink_arc = [net.add(node + v, sink, a) for v in range(n)]
-    edge_arcs = [
-        (net.add(src, i, b), net.add(i, node + u, inf), net.add(i, node + v, inf))
-        for i, (u, v) in enumerate(edges, 1)
-    ]
     flow = 0
     first = 0  # edges[first:] are the edges among the anchor and the vertices above it
     for v in range(n):
@@ -281,6 +336,7 @@ def _first_denser_subset(n: int, edges: list, lam: Fraction):
             return [u for u in range(v, n) if level[node + u] >= 0]
         net.cut(anchor_arc[v])
         flow -= net.cut(sink_arc[v])
+        dead = first
         while first < m and edges[first][0] == v:
             into_src, to_v, to_w = edge_arcs[first]
             net.cut(into_src)
@@ -289,6 +345,7 @@ def _first_denser_subset(n: int, edges: list, lam: Fraction):
             net.cancel(sink_arc[edges[first][1]], sent)
             flow -= sent
             first += 1
+        del net.g[src][: 1 + first - dead]  # anchor v and its edges
     return None
 
 

@@ -378,6 +378,15 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(token: str) -> int:
+    """An edge-list token as an int.  The format holds plain ASCII decimal
+    integers; int() alone would also take a sign, underscores and non-ASCII
+    digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"edge-list entries must be plain decimal integers, got {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
     if not rows:
@@ -385,13 +394,13 @@ def parse_edge_list(text: str) -> Graph:
     head = rows[0].split()
     if len(head) != 2:
         raise ValueError(f"header must be 'n m', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _decimal(head[0]), _decimal(head[1])
     edges = set()
     for ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _decimal(parts[0]), _decimal(parts[1])
         if not u < v:
             raise ValueError(f"edge lines must satisfy u < v, got {ln!r}")
         if (u, v) in edges:

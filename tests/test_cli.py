@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import hampower
 from hampower import braids, graphs, partitioned_paths
 from hampower.cli import EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
 
@@ -53,6 +55,27 @@ def test_density_max(tmp_path, capsys):
     code, out = run_cli(capsys, "density", "--input", str(f), "--opt")
     assert code == EXIT_OK
     assert json.loads(out) == {"value": "30/11", "witness": list(range(12)), "method": "optimized"}
+
+
+def test_density_opt_on_a_long_cycle(tmp_path, capsys):
+    # an augmenting path can run around the whole cycle; a recursive push
+    # raised RecursionError here from 498 vertices on
+    f = tmp_path / "c600.edges"
+    graphs.save_edge_list(graphs.cycle_power(600, 1), f)
+    code, out = run_cli(capsys, "density", "--input", str(f), "--opt")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"value": "600/599", "witness": list(range(600)), "method": "optimized"}
+
+
+@pytest.mark.parametrize("text", ["1_1 1\n+0 1_0\n", "\u0663 0\n", "3 1\n-0 2\n"],
+                         ids=["underscores-and-sign", "non-ascii-digit", "signed-zero"])
+def test_non_decimal_edge_list_is_usage_error(tmp_path, capsys, text):
+    f = tmp_path / "bad.edges"
+    f.write_text(text, encoding="utf-8")
+    code = main(["density", "--input", str(f), "--opt"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_density_balanced_exit_codes(tmp_path, capsys):
@@ -316,9 +339,11 @@ def test_duplicate_edge_line_is_usage_error(tmp_path, capsys):
 
 def run_module(*argv):
     # a separate process, so a bound that no longer limits the work times
-    # out instead of hanging the suite
+    # out instead of hanging the suite; it imports this checkout's package
+    src = os.path.dirname(os.path.dirname(hampower.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "hampower", *argv], capture_output=True, text=True,
-                          timeout=60)
+                          env=env, timeout=60)
 
 
 def test_verify_edge_floor_work_is_bounded_by_the_length():

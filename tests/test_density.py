@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_left
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,10 @@ import pytest
 from hampower.braids import braid, check_braid_params, s_braids
 from hampower.density import (
     CapExceeded,
-    _Dinic,
+    DensityReport,
+    _first_denser_subset,
+    _subset_pairs,
+    _subset_table,
     braid_density,
     first_moment_profile,
     is_strictly_balanced,
@@ -114,14 +118,14 @@ def test_max_density_opt_two_isolated_edges():
 
 
 def test_max_density_opt_large_strictly_balanced():
-    # powers of paths and cycles are their own densest subgraphs; these sizes
-    # are far beyond brute force
-    n = 200
-    rep = max_density_opt(cycle_power(n, 2))
-    assert rep.value == Fraction(400, 199) and rep.witness == tuple(range(n))
-    n = 150
-    rep = max_density_opt(path_power(n, 3))
-    assert rep.value == Fraction(444, 149) and rep.witness == tuple(range(n))
+    # powers of paths and cycles, and braids with ell < r(r+1), are their own
+    # densest subgraphs; these sizes are far beyond brute force.  Augmenting
+    # paths run around the long cycle: a recursive push raised RecursionError
+    # there from 499 vertices on.
+    for g, value in ((cycle_power(200, 2), Fraction(400, 199)), (path_power(150, 3), Fraction(444, 149)),
+                     (cycle_power(600, 1), Fraction(600, 599)), (path_power(1200, 2), Fraction(2397, 1199)),
+                     (braid(4, 3, 60), braid_density(4, 3, 60)), (braid(7, 3, 40), braid_density(7, 3, 40))):
+        assert max_density_opt(g) == DensityReport(value, tuple(range(g.n)), "optimized")
 
 
 def test_max_density_opt_equals_brute_on_corpus():
@@ -468,6 +472,63 @@ def test_golden_opt_corpus():
 # anchor, which the single residual network per round replaced.
 
 
+class ReferenceDinic:
+    """The oracle's own max flow: Dinic with a full level search per phase
+    and a recursive push, kept apart from the flow core under test."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.g: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev-index]
+
+    def add(self, u: int, v: int, cap: int) -> None:
+        self.g[u].append([v, cap, len(self.g[v])])
+        self.g[v].append([u, 0, len(self.g[u]) - 1])
+
+    def _levels(self, s: int):
+        level = [-1] * self.n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for v, cap, _ in self.g[u]:
+                if cap > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    q.append(v)
+        return level
+
+    def _push(self, u: int, t: int, f: int, level, it) -> int:
+        if u == t:
+            return f
+        out = self.g[u]
+        nxt = level[u] + 1
+        while it[u] < len(out):
+            e = out[it[u]]
+            v, cap, rev = e
+            if cap > 0 and level[v] == nxt:
+                d = self._push(v, t, f if f < cap else cap, level, it)
+                if d > 0:
+                    e[1] -= d
+                    self.g[v][rev][1] += d
+                    return d
+            it[u] += 1
+        return 0
+
+    def max_flow(self, s: int, t: int):
+        """(flow value, levels of the final residual network: >= 0 on the
+        nodes reachable from s)."""
+        flow = 0
+        while True:
+            level = self._levels(s)
+            if level[t] < 0:
+                return flow, level
+            it = [0] * self.n
+            while True:
+                f = self._push(s, t, 1 << 300, level, it)
+                if f == 0:
+                    break
+                flow += f
+
+
 def reference_improving_subset(g: Graph, edges: list, lam: Fraction, anchor: int):
     """A vertex set S with min(S) = `anchor` and density > lam, or None, from
     a network on the vertices anchor..n-1 and the edges among them."""
@@ -478,7 +539,7 @@ def reference_improving_subset(g: Graph, edges: list, lam: Fraction, anchor: int
     sink = 1 + m + g.n - anchor
     node = 1 + m - anchor  # vertex v is node + v
     inf = b * m + a * (g.n - anchor) + 1
-    net = _Dinic(sink + 1)
+    net = ReferenceDinic(sink + 1)
     for i, (u, v) in enumerate(edges, 1):
         net.add(src, i, b)
         net.add(i, node + u, inf)
@@ -492,6 +553,15 @@ def reference_improving_subset(g: Graph, edges: list, lam: Fraction, anchor: int
     return [v for v in range(anchor, g.n) if level[node + v] >= 0]
 
 
+def reference_first_denser_subset(g: Graph, edges: list, lam: Fraction):
+    """The least anchor's improving subset, one fresh network per anchor."""
+    for anchor in range(g.n):
+        s = reference_improving_subset(g, edges, lam, anchor)
+        if s is not None:
+            return s
+    return None
+
+
 def reference_max_density_opt(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     edges = sorted(g.edges)
     if not edges:
@@ -500,11 +570,8 @@ def reference_max_density_opt(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     if best < 1:
         best, witness = Fraction(1), edges[0]
     while True:
-        for anchor in range(g.n):
-            s = reference_improving_subset(g, edges, best, anchor)
-            if s is not None:
-                break
-        else:
+        s = reference_first_denser_subset(g, edges, best)
+        if s is None:
             return best, witness
         best, witness = Fraction(induced_edge_count(g, s), len(s) - 1), tuple(s)
 
@@ -543,3 +610,42 @@ def test_opt_matches_reference_on_path_powers():
     for v in range(2, 81):
         for m in (2, 3):
             assert_opt_matches_reference(path_power(v, m))
+
+
+def densities_just_below(g: Graph, opt: Fraction) -> list[Fraction]:
+    """The largest ratio e/(k - 1) below opt with 2 <= k <= n and
+    e <= C(k, 2), and, when the subset table fits, the largest density below
+    opt that some vertex subset realizes."""
+    ratios = [Fraction(min(math.ceil(opt * (k - 1)) - 1, math.comb(k, 2)), k - 1) for k in range(2, g.n + 1)]
+    out = [max(ratios)]
+    if g.n <= 20:
+        out.append(max(Fraction(e, size - 1) for size, e in _subset_pairs(*_subset_table(g))
+                       if size >= 2 and Fraction(e, size - 1) < opt))
+    return out
+
+
+def assert_denser_subset_matches_reference(g: Graph) -> None:
+    edges = sorted(g.edges)
+    opt = max_density_opt(g).value
+    assert _first_denser_subset(g.n, edges, opt) is None, g
+    assert reference_first_denser_subset(g, edges, opt) is None, g
+    for lam in densities_just_below(g, opt):
+        s = _first_denser_subset(g.n, edges, lam)
+        assert s is not None and s == reference_first_denser_subset(g, edges, lam), (g, lam)
+
+
+def test_denser_subset_matches_reference_at_and_below_the_optimum():
+    # lam = the optimum leaves no denser subset; just below it, the first
+    # anchor's smallest maximizer must equal the one a fresh network gives
+    for ell in range(2, 8):
+        for r in range(1, ell + 1):
+            for t in range(2, 5):
+                if t * ell <= 20:
+                    assert_denser_subset_matches_reference(braid(ell, r, t))
+    rng = random.Random(29)
+    for n in range(3, 31, 3):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            g = sample_gnp(n, p, rng.getrandbits(64))
+            if g.num_edges:
+                assert_denser_subset_matches_reference(g)
+

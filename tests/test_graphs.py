@@ -541,6 +541,16 @@ def test_edge_list_rejects_duplicate_lines():
         parse_edge_list("3 2\n0 1\n1 2\n0  1\n")
 
 
+@pytest.mark.parametrize("text, token", [
+    ("1_1 1\n+0 1_0\n", "1_1"),  # int() read this as 11 vertices with the edge (0, 10)
+    ("\u0663 0\n", "\u0663"),   # an Arabic-Indic three: n = 3
+    ("3 1\n-0 2\n", "-0"),       # the edge (0, 2)
+], ids=["underscores-and-sign", "non-ascii-digit", "signed-zero"])
+def test_edge_list_takes_plain_decimal_tokens_only(text, token):
+    with pytest.raises(ValueError, match=f"^edge-list entries must be plain decimal integers, got {token!r}$"):
+        parse_edge_list(text)
+
+
 def test_json_writer_maps_fields_and_refuses_other_types():
     rep = density.DensityReport(Fraction(3, 2), (0, 1), "brute")
     assert graphs._to_json(rep) == {"value": "3/2", "witness": [0, 1], "method": "brute"}
