@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -220,6 +220,15 @@ def pair_uniforms(n: int, seed: int) -> np.ndarray:
     return np.random.Generator(bg).random(n * (n - 1) // 2)
 
 
+@lru_cache(maxsize=4)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1): the two ends of each pair, in the order of
+    pair_uniforms.  Built once per n and shared, so the arrays are read-only."""
+    iu, iv = np.triu_indices(n, k=1)
+    iu.flags.writeable = iv.flags.writeable = False
+    return iu, iv
+
+
 def gnp_process(n: int, uniforms: np.ndarray, ps, s: int) -> tuple[list[Graph], list[int]]:
     """The graph at each p of the nondecreasing iterable ps, and its K_s count.
 
@@ -244,15 +253,16 @@ def gnp_process(n: int, uniforms: np.ndarray, ps, s: int) -> tuple[list[Graph], 
     kept = np.flatnonzero(uniforms < (ps[-1] if ps else 0.0))
     order = kept[np.argsort(uniforms[kept], kind="stable")]
     cuts = np.searchsorted(uniforms[order], ps, side="left").tolist()
-    iu, iv = np.triu_indices(n, k=1)
+    iu, iv = _pair_indices(n)
     us, vs = iu[order].tolist(), iv[order].tolist()
     rows, bits = [0] * n, [1 << v for v in range(n)]
+    # the number of K_s that an edge closes, from its ends' common neighbors
+    closed = int.bit_count if s == 3 else lambda common: _cliques_in(rows, common, s - 2)
     graphs, counts, total, done = [], [], 0, 0
     for cut in cuts:
         for u, v in zip(us[done:cut], vs[done:cut]):
             ru, rv = rows[u], rows[v]
-            common = ru & rv
-            total += common.bit_count() if s == 3 else _cliques_in(rows, common, s - 2)
+            total += closed(ru & rv)
             rows[u], rows[v] = ru | bits[v], rv | bits[u]
         done = cut
         graphs.append(Graph._from_rows(rows))
@@ -329,11 +339,16 @@ def _vertices(g: Graph, vertices) -> list[int]:
     return vs
 
 
+def _induced_rows(g: Graph, vs: list[int]) -> tuple[int, ...]:
+    """The rows of induced_subgraph(g, vs), for vs already known to be
+    distinct vertices of g: a caller that built vs itself skips the checks."""
+    bits = _unpack_rows([g.adj[v] for v in vs], g.n)
+    return _pack_rows(bits[:, vs])
+
+
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Relabeled induced subgraph; vertex i of the result is vertices[i]."""
-    vs = _vertices(g, vertices)
-    bits = _unpack_rows([g.adj[v] for v in vs], g.n)
-    return Graph._from_rows(_pack_rows(bits[:, vs]))
+    return Graph._from_rows(_induced_rows(g, _vertices(g, vertices)))
 
 
 def induced_edge_count(g: Graph, vertices) -> int:
@@ -418,7 +433,10 @@ def save_edge_list(g: Graph, path) -> None:
 
 
 def load_edge_list(path) -> Graph:
-    with open(path, "r", encoding="ascii") as f:
+    """The graph in an edge-list file.  The file is read as UTF-8, so that a
+    token outside the format (a non-ASCII digit, say) is named by the parser;
+    bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError."""
+    with open(path, "r", encoding="utf-8") as f:
         return parse_edge_list(f.read())
 
 

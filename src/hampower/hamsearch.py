@@ -69,7 +69,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, _integer, induced_subgraph
+from .graphs import Graph, _induced_rows, _integer
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -166,9 +166,10 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
         return SearchOutcome(NOT_FOUND, None, 0)
 
     # relabel ascending by (degree, index) (sorted is stable); bit order then
-    # equals degree order
+    # equals degree order.  perm is a permutation by construction, so the
+    # rows are built without induced_subgraph's checks.
     perm = sorted(range(n), key=degree.__getitem__)
-    adj = induced_subgraph(g, perm).adj
+    adj = _induced_rows(g, perm)
 
     carry, checks = _tables(n, m)
     # memo key fields, high to low: unused set, tail (last m labels); each

@@ -6,9 +6,10 @@ below p.  Thresholding the same uniforms across the whole grid couples the
 trials: the edge set at p is a superset of the edge set at any p' < p, so a
 trial's graphs, sorted by p, form a nested chain (as in a random graph
 process), and `_decide_chain` settles every cell it does not search
-exactly: NotFound transfers down the chain and a checked Found witness up
-it.  The found curve is monotone by construction, under a search budget
-too, and coupling changes no marginal distribution.
+exactly: NotFound transfers down the chain and a Found witness up it,
+checked once against every graph it settles.  The found curve is monotone
+by construction, under a search budget too, and coupling changes no
+marginal distribution.
 
 `run_sweep` is the one way to run trials.  It returns the per-trial
 verdicts (`SweepResult.verdicts`, indexed [trial][grid point]) next to the
@@ -30,7 +31,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import partial
+from itertools import starmap
 from math import comb
+from operator import and_
 
 from . import hamsearch
 from .graphs import (
@@ -240,10 +243,11 @@ def _decide_chain(chain: list[Graph], m: int, budget: int | None) -> list[str]:
     settles yet: the unsearched ones strictly between the highest NotFound
     and the lowest Found, so with no Unknown outcome this is bisection.  Then
     each graph keeps its own exact verdict, or else is NotFound below the
-    highest NotFound, Found above the lowest Found (whose witness is
-    re-verified there: AssertionError if it fails, as it can only on a chain
-    that is not nested), and Unknown only in between.  So the verdicts read
-    NotFound*, Unknown*, Found* under any budget.
+    highest NotFound, Found above the lowest Found, and Unknown only in
+    between.  So the verdicts read NotFound*, Unknown*, Found* under any
+    budget.  The lowest Found witness is checked once against every graph it
+    settles, unsearched or spent alike, by one check on their intersection:
+    AssertionError if it fails, as it can only on a chain that is not nested.
     """
     outcomes = [None] * len(chain)
     refuted, found = -1, len(chain)
@@ -255,18 +259,25 @@ def _decide_chain(chain: list[Graph], m: int, budget: int | None) -> list[str]:
         elif out.verdict == NOT_FOUND:
             refuted = mid
 
-    verdicts = []
+    verdicts, carried = [], []
     for i, (g, out) in enumerate(zip(chain, outcomes)):
         if out is not None and out.verdict != UNKNOWN:
             verdicts.append(out.verdict)
         elif i < refuted:
             verdicts.append(NOT_FOUND)  # subgraph of an exhaustively refuted graph
         elif i > found:
-            if not hamsearch.verify_witness(g, m, outcomes[found].witness):
-                raise AssertionError("witness failed to verify on a later graph: the chain is not nested")
+            carried.append(g)  # takes the lowest Found witness
             verdicts.append(FOUND)
         else:
             verdicts.append(UNKNOWN)
+    if carried:
+        # the witness's pairs lie in every carried graph iff they lie in the
+        # intersection, so one check covers them all
+        common = carried[0].adj
+        for g in carried[1:]:
+            common = tuple(starmap(and_, zip(common, g.adj, strict=True)))
+        if not hamsearch.verify_witness(Graph._from_rows(common), m, outcomes[found].witness):
+            raise AssertionError("witness failed to verify on a later graph: the chain is not nested")
     return verdicts
 
 

@@ -67,15 +67,25 @@ def test_density_opt_on_a_long_cycle(tmp_path, capsys):
     assert json.loads(out) == {"value": "600/599", "witness": list(range(600)), "method": "optimized"}
 
 
-@pytest.mark.parametrize("text", ["1_1 1\n+0 1_0\n", "\u0663 0\n", "3 1\n-0 2\n"],
+@pytest.mark.parametrize("text, token", [("1_1 1\n+0 1_0\n", "1_1"), ("\u0663 0\n", "\u0663"), ("3 1\n-0 2\n", "-0")],
                          ids=["underscores-and-sign", "non-ascii-digit", "signed-zero"])
-def test_non_decimal_edge_list_is_usage_error(tmp_path, capsys, text):
+def test_non_decimal_edge_list_is_usage_error(tmp_path, capsys, text, token):
     f = tmp_path / "bad.edges"
     f.write_text(text, encoding="utf-8")
     code = main(["density", "--input", str(f), "--opt"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
-    assert captured.err.startswith("error: ")
+    # the message names the token (a file read as ASCII named byte 0xd9)
+    assert captured.err == f"error: edge-list entries must be plain decimal integers, got {token!r}\n"
+
+
+def test_edge_list_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "latin1.edges"
+    f.write_bytes(b"3 1\n0 2 # \xe9\n")
+    code = main(["density", "--input", str(f), "--opt"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_density_balanced_exit_codes(tmp_path, capsys):

@@ -452,6 +452,46 @@ def test_gnp_process_reads_each_p_as_a_number():
             gnp_process(6, uniforms, [0.2, bad], 3)
 
 
+def test_gnp_process_does_not_depend_on_the_pair_index_cache():
+    # the pair indices are cached per n; calls at n = 5, 40, 5 give what each
+    # gives on a fresh cache, and what the thresholded matrix gives
+    ps = [0.0, 0.3, 0.3, 0.7, 1.0]
+    calls = [(n, pair_uniforms(n, 31 + n), s) for n, s in ((5, 3), (40, 3), (5, 4), (40, 5))]
+    fresh = []
+    for n, uniforms, s in calls:
+        graphs._pair_indices.cache_clear()
+        fresh.append(gnp_process(n, uniforms, ps, s))
+    graphs._pair_indices.cache_clear()
+    for (n, uniforms, s), want in zip(calls + calls, fresh + fresh):
+        assert gnp_process(n, uniforms, ps, s) == want, (n, s)
+        assert want[0] == [threshold_oracle(n, uniforms, p) for p in ps]
+    assert graphs._pair_indices.cache_info().currsize == 2
+
+
+def test_cached_pair_indices_are_read_only():
+    iu, iv = graphs._pair_indices(7)
+    assert (iu.tolist(), iv.tolist()) == tuple(a.tolist() for a in np.triu_indices(7, k=1))
+    for a in (iu, iv):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    assert graphs._pair_indices(7)[0] is iu
+
+
+@pytest.mark.parametrize("n", [2, 16, 63, 64, 65, 130])
+def test_induced_rows_match_the_subgraph_oracle(n):
+    # the unchecked relabel that the search uses equals induced_subgraph and
+    # the subgraph read off the edge set, for permutations and for subsets
+    rng = np.random.default_rng(n)
+    for p in (0.0, 0.3, 0.8, 1.0):
+        g = sample_gnp(n, p, int(rng.integers(2**32)))
+        for vs in (rng.permutation(n).tolist(), list(range(n)), rng.permutation(n)[: n // 2 + 1].tolist()):
+            rows = graphs._induced_rows(g, vs)
+            assert type(rows) is tuple and all(type(r) is int for r in rows)
+            oracle = Graph(len(vs), [(i, j) for i, j in combinations(range(len(vs)), 2)
+                                     if (min(vs[i], vs[j]), max(vs[i], vs[j])) in g.edges])
+            assert rows == oracle.adj == induced_subgraph(g, vs).adj, (n, p, vs)
+
+
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129])
 def test_row_packing_round_trips_at_word_boundaries(n):
     rng = np.random.default_rng(n)
@@ -546,9 +586,16 @@ def test_edge_list_rejects_duplicate_lines():
     ("\u0663 0\n", "\u0663"),   # an Arabic-Indic three: n = 3
     ("3 1\n-0 2\n", "-0"),       # the edge (0, 2)
 ], ids=["underscores-and-sign", "non-ascii-digit", "signed-zero"])
-def test_edge_list_takes_plain_decimal_tokens_only(text, token):
-    with pytest.raises(ValueError, match=f"^edge-list entries must be plain decimal integers, got {token!r}$"):
+def test_edge_list_takes_plain_decimal_tokens_only(tmp_path, text, token):
+    message = f"^edge-list entries must be plain decimal integers, got {token!r}$"
+    with pytest.raises(ValueError, match=message):
         parse_edge_list(text)
+    # a file is read as UTF-8, so the parser names the token there too; read
+    # as ASCII, the non-ASCII digit failed on its first byte, 0xd9
+    f = tmp_path / "bad.edges"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        graphs.load_edge_list(f)
 
 
 def test_json_writer_maps_fields_and_refuses_other_types():

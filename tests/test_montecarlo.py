@@ -2,8 +2,10 @@
 
 import json
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -415,11 +417,13 @@ def test_sweep_calls_the_module_globals(monkeypatch):
                          (hamsearch, "verify_witness")]:
         counting(module, name)
     assert result_to_csv(run_sweep(cfg, workers=1)) == expected
-    # verify_witness counts the search's own witness checks too; union is
-    # called once per cell, so 6 * 8 = 48 (42 while refuted cells were not
-    # built).  The trial walk counts the cliques itself: count_cliques, which
-    # clique_stats calls, is not called by a sweep.
-    assert calls == {"pair_uniforms": 8, "contains_ham_power": 24, "verify_witness": 30, "union": 48}
+    # verify_witness counts the search's own witness checks too, then one
+    # check per trial that carries a Found witness up its chain (30 while
+    # each carried-to cell had its own check); union is called once per
+    # cell, so 6 * 8 = 48 (42 while refuted cells were not built).  The
+    # trial walk counts the cliques itself: count_cliques, which clique_stats
+    # calls, is not called by a sweep.
+    assert calls == {"pair_uniforms": 8, "contains_ham_power": 24, "verify_witness": 20, "union": 48}
     assert callable(montecarlo.count_cliques)
 
 
@@ -468,20 +472,17 @@ def test_multiword_budgeted_sweep_pinned():
 
 
 def spy_chain(monkeypatch, chain):
-    """Record, as chain positions, the graphs that the decider searches and
+    """Record the graphs that the decider searches, as chain positions, and
     the graphs that any witness is verified on."""
     searched, verified = [], []
     search, verify = montecarlo.contains_ham_power, hamsearch.verify_witness
 
-    def position(g):
-        return next(i for i, h in enumerate(chain) if h is g)
-
     def searching(g, m, budget=None):
-        searched.append(position(g))
+        searched.append(next(i for i, h in enumerate(chain) if h is g))
         return search(g, m, budget)
 
     def verifying(g, m, order):
-        verified.append(position(g))
+        verified.append(g)
         return verify(g, m, order)
 
     monkeypatch.setattr(montecarlo, "contains_ham_power", searching)
@@ -496,13 +497,32 @@ def test_chain_transfers_not_found_down(monkeypatch):
     assert searched == [1, 2]  # chain[0] is a subgraph of the refuted chain[1]
 
 
+def rows_and(chain, positions):
+    """The rows of the intersection of the chain graphs at the positions."""
+    return tuple(reduce(operator.and_, rows) for rows in zip(*(chain[i].adj for i in positions)))
+
+
+def cycle_plus(*extra):
+    """C_8^2, whose only square Hamiltonian cycle is its own, plus the given
+    pairs at cyclic distance 4."""
+    return union(cycle_power(8, 2), Graph(8, extra))
+
+
+# pairs outside C_8^2: the graphs above a Found one below differ outside its
+# witness, so the rows of an intersection name the graphs that went into it
+E, A, B, C = (0, 4), (1, 5), (2, 6), (3, 7)
+
+
 def test_chain_reverifies_found_witness_up(monkeypatch):
-    cycle = cycle_power(8, 2)
-    chain = [Graph(8), path_power(8, 2), cycle, union(cycle, Graph(8, [(0, 4)])), complete_graph(8)]
+    chain = [Graph(8), path_power(8, 2), cycle_power(8, 2), cycle_plus(E, A), cycle_plus(E, B)]
     searched, verified = spy_chain(monkeypatch, chain)
     assert montecarlo._decide_chain(chain, 2, None) == [NOT_FOUND] * 2 + [FOUND] * 3
     assert searched == [2, 0, 1]
-    assert [i for i in verified if i not in searched] == [3, 4]
+    # the search's own check, then one check of the carried witness on the
+    # intersection of exactly the graphs it settles
+    assert len(verified) == 2 and verified[0] is chain[2]
+    assert verified[1].adj == rows_and(chain, [3, 4])
+    assert len({rows_and(chain, ps) for ps in ([2, 3, 4], [3], [4], [3, 4])}) == 4
 
 
 def test_chain_searches_graphs_unknown_probes_leave_open(monkeypatch):
@@ -540,16 +560,19 @@ def test_chain_unknown_probe_below_a_later_not_found_is_not_found(monkeypatch):
 
 
 def test_chain_carries_a_leftover_found_witness_over_unknown_probes(monkeypatch):
-    cycle = cycle_power(8, 2)
-    chain = [Graph(8), cycle, union(cycle, Graph(8, [(0, 4)])), union(cycle, Graph(8, [(0, 4), (1, 5)])),
-             complete_graph(8)]
+    chain = [Graph(8), cycle_power(8, 2), cycle_plus(E, A, B), cycle_plus(E, A, C), cycle_plus(E, B, C)]
     scripted_unknown(monkeypatch, chain, {2})
     searched, verified = spy_chain(monkeypatch, chain)
     assert montecarlo._decide_chain(chain, 2, 100) == [NOT_FOUND] + [FOUND] * 4
     # the spent probe chain[2] leaves 0, 1 and 3, 4 open; the middle one,
     # chain[1], is Found, so nothing above it is searched
     assert searched == [2, 1, 0]
-    assert verified == [1, 2, 3, 4]  # the search's own check, then the carried witness
+    # the search's own check, then the carried witness, once, on the
+    # intersection of the graphs above chain[1], the spent probe among them
+    assert len(verified) == 2 and verified[0] is chain[1]
+    assert verified[1].adj == rows_and(chain, [2, 3, 4])
+    others = ([1, 2, 3, 4], [3, 4], [2, 4], [2, 3])
+    assert rows_and(chain, [2, 3, 4]) not in {rows_and(chain, ps) for ps in others}
 
 
 def test_budgeted_chain_verdicts_are_exact_and_ordered():
@@ -580,6 +603,31 @@ def test_chain_not_nested_fails_the_transferred_witness():
     # python -O is covered by test_unverified_witness_raises_under_optimize_flag
     with pytest.raises(AssertionError, match="the chain is not nested"):
         montecarlo._decide_chain([complete_graph(6), Graph(6)], 2, None)
+
+
+def test_one_graph_off_the_witness_fails_the_carried_check(monkeypatch):
+    # the lowest Found is chain[1], with C_8^2's witness; the bad graph lies
+    # among the graphs above it and lacks the witness pair (0, 1)
+    bad = Graph(8, cycle_plus(E).edges - {(0, 1)})
+    chain = [Graph(8), cycle_power(8, 2), cycle_plus(E), bad, cycle_plus(E, A), complete_graph(8)]
+    searched, _ = spy_chain(monkeypatch, chain)
+    with pytest.raises(AssertionError, match="the chain is not nested"):
+        montecarlo._decide_chain(chain, 2, None)
+    assert searched == [2, 0, 1]  # the bad graph is not searched: 3, 4 and 5 take the witness
+
+
+def test_one_unknown_probed_graph_off_the_witness_fails_the_carried_check(monkeypatch):
+    # the same bad graph, now probed and spent; it lies among the carried
+    # graphs 2, 3, 4, 6, 7 and 8, so leaving spent probes out of the check
+    # would let it through
+    bad = Graph(8, cycle_plus(E).edges - {(0, 1)})
+    chain = [Graph(8), cycle_power(8, 2), cycle_plus(E), bad, cycle_plus(E, A)]
+    chain += [complete_graph(8) for _ in range(4)]
+    scripted_unknown(monkeypatch, chain, {3, 4})
+    searched, _ = spy_chain(monkeypatch, chain)
+    with pytest.raises(AssertionError, match="the chain is not nested"):
+        montecarlo._decide_chain(chain, 2, 100)
+    assert searched == [4, 3, 5, 1, 0]
 
 
 def test_csv_header_only_for_empty_grid():
