@@ -54,9 +54,38 @@ tail, and a call forms one key base for all its children: its own key with
 the tail shifted up by one label.  A child's key is that base with the
 child's bit cleared from the unused field and its label put in the tail.
 The order is written only on the way back up from a success, and rows[pos]
-only for a child that is called.  The last slot runs no candidate loop: it
-keeps the candidates above slot 1 (reflection) and places the lowest, one
-node.
+only for a child that is called.
+
+The recursion runs in per-slot steps.  A table built per search gives the
+step of each slot, and a call looks up its children's step once, so no call
+tests which slot it fills:
+
+  * the general step, which holds the only candidate loop, fills every slot
+    but the last;
+  * slot heads + 1 runs a wrapper that empties the failure set and reads the
+    pivot, then the general step, or the last-slot step when heads + 1 is
+    the last slot (n = 3, m = 1);
+  * the last-slot step runs no candidate loop: it keeps the candidates above
+    slot 1 (reflection) and places the lowest, one node.
+
+Every step stores its state when it fails, at every slot.  A state at slot
+pos <= m holds the anchor and every slot after it in its tail, so one path
+alone reaches it: its parent looks its key up once, before the only call,
+and the key never hits.  Such a slot is at most heads + 1, so the key is
+stored only after that slot's subtree has returned, and the next store of a
+state past slot heads + 1 comes after the next call at slot heads + 1 has
+emptied the set.  So these keys never take a place under _MEMO_CAP that a
+state of the current head could use, and no count changes.
+
+A call counts its placements in a local variable, the size of its candidate
+set less the candidates left when a child succeeds, and adds them to the
+node count when it returns; it tests the budget once, after its loop, and
+the search tests it once more before building the outcome.  While a loop
+runs, the count therefore lacks the placements of the loops still open on
+its path, fewer than n per slot: a budgeted search may place fewer than n^2
+vertices past its budget before it stops.  Those placements change nothing.
+The result is Unknown, reported as budget + 1 nodes, exactly when the
+placements in all exceed the budget, as when each placement was tested.
 
 Verdicts are exact: Found comes with a verified witness, NotFound only after
 exhausting the pruned tree, and a spent node budget yields Unknown, never a
@@ -149,8 +178,9 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
     """Decide membership in the m-th-power-of-Hamiltonian-cycle family.
 
     Requires n >= m + 2 (the property's domain).  `budget`, None or at least
-    1, caps the number of vertex placements; exceeding it returns Unknown.
-    `m` and `budget` must be integers (numpy integers included, bools not).
+    1, caps the number of vertex placements; exceeding it returns Unknown
+    with budget + 1 nodes.  `m` and `budget` must be integers (numpy
+    integers included, bools not).
     """
     m = _integer("power m", m, 1)
     if budget is not None:
@@ -178,6 +208,7 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
     tail_shift = m * width
     tail_mask = (1 << tail_shift) - 1
     heads = max(m - 1, 1)  # head slots 1 .. heads: the wrap slots, slot 1 the pivot
+    pivot_shift = (heads - 1) * width  # slot 1's label in the tail at slot heads + 1
     label_mask = (1 << width) - 1
     limit = budget if budget is not None else sys.maxsize  # no search gets near it
     last = n - 1
@@ -186,48 +217,33 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
     rows = [0] * n  # rows[q] = adj[order[q]] for the slots on the current path
     order[0] = anchor
     rows[0] = adj[anchor]
-    nodes = 0
+    nodes = 0  # placements of the calls that have returned
     pivot = 0  # slot 1's label, set when the head is placed
     failed: set[int] = set()
 
-    def extend(pos: int, unused: int, cand: int, tail: int, key: int) -> bool:
-        # cand: the unused vertices adjacent to every vertex slot pos must
-        # meet, empty only at the root; tail: the last m labels; key: this
-        # state's memo key.  The parent has ruled out a dead state (no
-        # candidate) and a memoized one, so every call is live.
-        nonlocal nodes, pivot
-        if pos == heads + 1:
-            # a new head: no state of an earlier head recurs below it
-            failed.clear()
-            pivot = (tail >> (heads - 1) * width) & label_mask  # slot 1
-        if pos == last:
-            cand &= -(2 << pivot)  # reflection: above slot 1
-            if cand:
-                nodes += 1
-                if nodes > limit:
-                    raise _BudgetSpent
-                order[pos] = (cand & -cand).bit_length() - 1
-                return True
-
+    def step(pos: int, unused: int, cand: int, tail: int, key: int) -> bool:
+        # Every slot but the last.  cand: the unused vertices adjacent to
+        # every vertex slot pos must meet, empty only at the root; tail: the
+        # last m labels; key: this state's memo key.  The parent has ruled
+        # out a dead state (no candidate) and a memoized one, so every call
+        # is live.
+        nonlocal nodes
         # the last m placed must keep enough unused partners for their windows
         for q, needed in checks[pos]:
             if (rows[q] & unused).bit_count() < needed:
-                cand = 0
                 break
-
-        if cand:
+        else:
             keep = unused  # a child's row never holds the child, so it drops out
             for q in carry[pos]:
                 keep &= rows[q]
             tw = (tail << width) & tail_mask
             base = (key ^ tail) | tw  # the children's keys, less their own bit and label
             nxt = pos + 1
+            down = steps[nxt]
+            placed = cand.bit_count()  # every candidate is placed unless a child succeeds
             while cand:
                 bit = cand & -cand
                 cand ^= bit
-                nodes += 1
-                if nodes > limit:
-                    raise _BudgetSpent
                 v = bit.bit_length() - 1
                 row = adj[v]
                 child = keep & row
@@ -237,27 +253,57 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
                 if sub_key in failed:
                     continue
                 rows[pos] = row
-                if extend(nxt, unused ^ bit, child, tw | v, sub_key):
+                if down(nxt, unused ^ bit, child, tw | v, sub_key):
                     order[pos] = v
+                    nodes += placed - cand.bit_count()
                     return True
-        if pos > m and len(failed) < _MEMO_CAP:
+            nodes += placed
+            if nodes > limit:
+                raise _BudgetSpent
+        if len(failed) < _MEMO_CAP:
             failed.add(key)
         return False
 
+    def last_step(pos: int, unused: int, cand: int, tail: int, key: int) -> bool:
+        nonlocal nodes
+        cand &= -(2 << pivot)  # reflection: above slot 1
+        if cand:
+            nodes += 1
+            order[pos] = (cand & -cand).bit_length() - 1
+            return True
+        if len(failed) < _MEMO_CAP:
+            failed.add(key)
+        return False
+
+    def head_step(pos: int, unused: int, cand: int, tail: int, key: int) -> bool:
+        # slot heads + 1, below a new head: no state of an earlier head recurs
+        nonlocal pivot
+        failed.clear()
+        pivot = (tail >> pivot_shift) & label_mask
+        return after_head(pos, unused, cand, tail, key)
+
+    after_head = last_step if heads + 1 == last else step
+    steps = [step] * n  # steps[pos]: the step that fills slot pos
+    steps[last] = last_step
+    steps[heads + 1] = head_step
+
+    unused = ((1 << n) - 1) ^ (1 << anchor)
     try:
-        unused = ((1 << n) - 1) ^ (1 << anchor)
-        if extend(1, unused, rows[0] & unused, anchor, (unused << tail_shift) | anchor):
-            witness = tuple(perm[v] for v in order)
-            if not verify_witness(g, m, witness):
-                raise AssertionError(f"search produced an order that is not an m={m} cycle power: {witness}")
-            return SearchOutcome(FOUND, witness, nodes)
-        return SearchOutcome(NOT_FOUND, None, nodes)
+        found = steps[1](1, unused, rows[0] & unused, anchor, (unused << tail_shift) | anchor)
     except _BudgetSpent:
-        return SearchOutcome(UNKNOWN, None, nodes)
+        found = False
     finally:
-        # extend reaches itself through its closure; without this the memo
-        # would live on until the next cyclic garbage collection
-        del extend
+        # the steps reach each other through this table; without this the
+        # memo would live on until the next cyclic garbage collection
+        steps.clear()
+    if nodes > limit:
+        return SearchOutcome(UNKNOWN, None, limit + 1)
+    if not found:
+        return SearchOutcome(NOT_FOUND, None, nodes)
+    witness = tuple(perm[v] for v in order)
+    if not verify_witness(g, m, witness):
+        raise AssertionError(f"search produced an order that is not an m={m} cycle power: {witness}")
+    return SearchOutcome(FOUND, witness, nodes)
 
 
 def brute_force_contains(g: Graph, m: int) -> bool:

@@ -135,7 +135,12 @@ class BaseGraphSpec:
 @dataclass(frozen=True)
 class ExponentGrid:
     """p = n^(-alpha - mu) for each offset mu; exponents are exact rationals,
-    stored as a Fraction and a tuple of Fractions."""
+    stored as a Fraction and a tuple of Fractions.
+
+    `alpha` is the grid's own exponent, not the threshold's alpha_m: m's
+    threshold is p = n^(-1/alpha_m), so a grid centred on it takes
+    alpha = -thresholds.threshold_exponent_of_n(m), which is 1/alpha_m.
+    For m = 6 that is 4/9, not threshold_exponent(6).alpha = 9/4."""
 
     alpha: Fraction
     mu_list: tuple[Fraction, ...]

@@ -114,6 +114,15 @@ class SegmentList:
         if self.first_side not in (SIDE_A, SIDE_B):
             raise ValueError("first_side must be A or B")
 
+    @classmethod
+    def _trusted(cls, sizes: tuple[int, ...], first_side: str) -> SegmentList:
+        """A list from a tuple of positive ints and a side, built without the
+        constructor's checks (as graphs.Graph._from_rows is)."""
+        seg = object.__new__(cls)
+        object.__setattr__(seg, "sizes", sizes)
+        object.__setattr__(seg, "first_side", first_side)
+        return seg
+
     def side(self, i: int) -> str:
         return self.first_side if i % 2 == 0 else _OTHER[self.first_side]
 
@@ -133,7 +142,7 @@ def segments(path: PartitionedPath) -> SegmentList:
     """Run-length decomposition into maximal same-side segments."""
     if not path.labels:
         raise ValueError("cannot decompose an empty labeling")
-    return SegmentList(tuple(map(len, _RUNS.findall(path.labels))), path.labels[0])
+    return SegmentList._trusted(tuple(map(len, _RUNS.findall(path.labels))), path.labels[0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +244,26 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
     first = seg.first_side
     transcript: list[NormalizeStep] = []
     steps = 0
+    current = seg.sizes  # tuple(sizes) as of the last step: the next step's before
 
     def exceeded() -> BudgetExceeded:
         return BudgetExceeded(f"normalization exceeded {budget} steps at L={L}, m={m}")
 
-    def log(op: str, idx: int, before: tuple[int, ...]):
-        transcript.append(NormalizeStep(op, idx, before, tuple(sizes)))
+    def log(op: str, idx: int):
+        nonlocal current
+        after = tuple(sizes)
+        transcript.append(NormalizeStep(op, idx, current, after))
+        current = after
 
     def split(idx: int, op: str):
         # keep the first m vertices of segment idx, push the rest rightwards
-        before = tuple(sizes)
         over = sizes[idx] - m
         sizes[idx] = m
         if idx + 1 < len(sizes):
             sizes[idx + 1] += over
         else:
             sizes.append(over)
-        log(op, idx, before)
+        log(op, idx)
 
     # Initiation: cap the first segment, then absorb a too-small prefix.
     if sizes[0] > m:
@@ -267,12 +279,11 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
             break
     if j >= 2:
         steps += 1
-        before = tuple(sizes)
         merged = sum(sizes[:j])
         new_first = first if (j - 1) % 2 == 0 else _OTHER[first]
         sizes[:j] = [merged]
         first = new_first
-        log("init-merge", 0, before)
+        log("init-merge", 0)
     if steps > budget:  # the initiation's (at most two) steps
         raise exceeded()
 
@@ -287,7 +298,6 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
             i += 1
         elif sizes[i - 1] + sizes[i] < m:
             if i + 1 < len(sizes):
-                before = tuple(sizes)
                 sizes[i - 1] += 1
                 sizes[i + 1] -= 1
                 if sizes[i + 1] == 0:
@@ -295,21 +305,20 @@ def normalize(path: PartitionedPath, budget: int | None = None) -> NormalizeResu
                     if i + 1 < len(sizes):
                         # the emptied slot's right neighbor shares segment i's side
                         sizes[i] += sizes.pop(i + 1)
-                        log("case2-merge", i, before)
+                        log("case2-merge", i)
                     else:
-                        log("case2-shift", i, before)
+                        log("case2-shift", i)
                 else:
-                    log("case2-shift", i, before)
+                    log("case2-shift", i)
                 # stay at i and re-check
             else:
-                before = tuple(sizes)
                 sizes[i - 1] += sizes.pop(i)
-                log("case3", i, before)
+                log("case3", i)
                 break
         else:
             i += 1  # case 0: conditions hold, move on
 
-    out = SegmentList(tuple(sizes), first)
+    out = SegmentList._trusted(current, first)
     if not out.is_normalized(m):
         raise AssertionError(f"normalization produced a non-normal list {out}")
     # the recount: the normal form's label mask, its B runs set

@@ -372,11 +372,7 @@ def test_verify_balanced_work_is_bounded_by_the_cap(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hampower", "threshold-table", "--m-max", "5", "--format", "csv"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("threshold-table", "--m-max", "5", "--format", "csv")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("m,ell,")
 

@@ -355,6 +355,35 @@ def test_search_equivalence_digest():
     assert digest == "4f9653b14ed3bd9d31eee5687585972a6db416748c7004e7d6c620de6a369da7"
 
 
+def _tiny_corpus():
+    """Five seeded graphs at each of n = m + 2 and n = m + 3 for m = 1..4,
+    the first of each five complete.  n = 3, m = 1 has slot 1 as its head
+    and slot 2 as both the slot after it and the last slot; from m = 3 on
+    the head is two slots or more."""
+    rng = random.Random(2031)
+    for m in range(1, 5):
+        for n in (m + 2, m + 3):
+            for seed in range(5):
+                p = 1.0 if seed == 0 else rng.choice([0.7, 0.8, 0.9])
+                yield m, n, seed, sample_gnp(n, p, 31000 + 100 * m + 10 * n + seed)
+
+
+def test_tiny_search_digest():
+    # Every budget from 1 to one past the unbudgeted count, and no budget,
+    # on the smallest graphs the property allows: each Unknown point, verdict
+    # and witness hashes to one value, pinned before the search's per-slot
+    # steps were written.
+    lines = []
+    for m, n, seed, g in _tiny_corpus():
+        full = contains_ham_power(g, m).nodes_expanded
+        for budget in (None, *range(1, full + 2)):
+            out = contains_ham_power(g, m, budget)
+            lines.append(f"{m} {n} {seed} {budget} {out.verdict} {out.nodes_expanded} {out.witness}")
+    assert len(lines) == 438
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "69c112ed52caf045318bb659d6727d66ebf98ca0b84e2aeb6766de12ed4d0ee8"
+
+
 def test_memo_cap_keeps_verdicts(monkeypatch):
     # Past the cap no state is stored.  Verdicts stay exact, and a capped
     # search expands at least the nodes of the uncapped one.

@@ -275,6 +275,19 @@ def test_golden_normalize_runs():
     assert (count, h.hexdigest()) == GOLDEN_NORMALIZE
 
 
+def test_unchecked_lists_equal_checked_ones():
+    # segments() and normalize() build their lists without the constructor's
+    # checks, and each step's before is the previous step's after
+    for p in golden_normalize_paths():
+        seg = segments(p)
+        res = normalize(p)
+        for built in (seg, res.segments):
+            assert built == SegmentList(built.sizes, built.first_side) and type(built.sizes) is tuple
+        assert seg.to_labels() == p.labels
+        chain = [seg.sizes] + [s.after for s in res.transcript]
+        assert [s.before for s in res.transcript] == chain[:-1] and chain[-1] == res.segments.sizes
+
+
 def test_normalize_budget_is_exact():
     # a budget of exactly the steps taken passes; one step fewer raises
     rng = random.Random(23)
