@@ -283,7 +283,7 @@ def union(g: Graph, h: Graph) -> Graph:
     """Edge-set union of two graphs on the same vertex set."""
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
-    return Graph._from_rows([a | b for a, b in zip(g.adj, h.adj)])
+    return Graph._from_rows(tuple(map(operator.or_, g.adj, h.adj)))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,28 @@ vertices past its budget before it stops.  Those placements change nothing.
 The result is Unknown, reported as budget + 1 nodes, exactly when the
 placements in all exceed the budget, as when each placement was tested.
 
+An exhaustive search (no budget, and a key that fits in 64 bits: n + m *
+(n - 1).bit_length() <= 64) decides a head that the DFS has not finished in
+n^2 placements (_HEAD_ALLOWANCE) by a layer pass instead.  The partial run
+is dropped: the node count goes back to its value at the head's call and
+the failure set is emptied.  The pass holds the head's distinct live states
+at one slot as numpy rows of memo keys and candidate sets.  Per layer it
+applies the forward check, adds the candidates of every state that passes
+to the node count, expands each candidate into its child, drops the dead
+children and keeps one row per key.  Within a head that fails, the DFS
+calls each distinct live state exactly once: every called state fails and
+is stored, so a later reach is a memo hit, placed but not called, and
+states of different slots never share a key.  So the DFS places exactly the
+candidates of the distinct live states that pass the forward check, which
+is what the pass sums.  A head succeeds iff its last layer holds a state
+with a candidate above the pivot; then the DFS runs the head again with no
+allowance, so witnesses and Found counts are those of the DFS alone.  A
+head also goes back to the DFS, from its start, once its states would reach
+_MEMO_CAP (past the cap the DFS re-explores states, and the counts differ)
+or one layer would place more than _MEMO_CAP children, which bounds the
+pass's memory by about what the memo may hold.  A budgeted search, and one
+whose keys need more than 64 bits, runs the DFS alone.
+
 Verdicts are exact: Found comes with a verified witness, NotFound only after
 exhausting the pruned tree, and a spent node budget yields Unknown, never a
 wrong answer.  The node count is deterministic, so Unknown is reproducible.
@@ -98,6 +120,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .graphs import Graph, _induced_rows, _integer
 
 FOUND = "found"
@@ -105,6 +129,7 @@ NOT_FOUND = "not_found"
 UNKNOWN = "unknown"
 
 _MEMO_CAP = 4_000_000
+_HEAD_ALLOWANCE = 1  # an exhaustive head's DFS places at most this many n^2 nodes before the layer pass
 
 
 @dataclass(frozen=True)
@@ -282,10 +307,91 @@ def contains_ham_power(g: Graph, m: int, budget: int | None = None) -> SearchOut
         pivot = (tail >> pivot_shift) & label_mask
         return after_head(pos, unused, cand, tail, key)
 
+    def bounded_head_step(pos: int, unused: int, cand: int, tail: int, key: int) -> bool:
+        # head_step of an exhaustive search: the DFS gets `allowance` nodes,
+        # then its run is dropped and the layer pass decides the head, unless
+        # the head succeeds or would store _MEMO_CAP states; then the DFS
+        # runs it again without a bound
+        nonlocal nodes, limit
+        start = nodes
+        limit = start + allowance
+        try:
+            return head_step(pos, unused, cand, tail, key)
+        except _BudgetSpent:
+            pass
+        finally:
+            limit = sys.maxsize
+        nodes = start
+        failed.clear()
+        placed = layer_pass(pos, key, cand)
+        if placed is None:
+            return head_step(pos, unused, cand, tail, key)
+        nodes += placed
+        return False
+
+    def layer_pass(pos: int, key: int, cand: int) -> int | None:
+        # The nodes the DFS places below this call at slot heads + 1 when its
+        # head fails; None when the head succeeds or its states would reach
+        # _MEMO_CAP.  A layer is the head's distinct live states at one slot,
+        # as numpy rows of memo keys and candidate sets.
+        nonlocal table
+        if table is None:
+            table = np.array(adj, dtype=np.uint64)
+
+        def row(q):  # slot q's row in every state: a head slot's is fixed, the others are in the tail
+            return rows[q] if q <= heads else table[(keys >> ((pos - 1 - q) * width)) & label_mask]
+
+        keys = np.array([key], dtype=np.uint64)
+        cands = np.array([cand], dtype=np.uint64)
+        placed = 0
+        states = 1
+        while states < _MEMO_CAP:
+            if pos == last:  # last_step places a node only on success
+                return None if (cands & (((1 << n) - 1) & -(2 << pivot))).any() else placed
+            unused = keys >> tail_shift
+            if checks[pos]:
+                ok = np.ones(len(keys), dtype=bool)
+                for q, needed in checks[pos]:
+                    ok &= np.bitwise_count(row(q) & unused) >= needed
+                keys, cands, unused = keys[ok], cands[ok], unused[ok]
+            count = int(np.bitwise_count(cands).sum(dtype=np.int64))
+            if count > _MEMO_CAP:
+                return None
+            placed += count
+            keep = unused
+            for q in carry[pos]:
+                keep = keep & row(q)
+            base = (keys & ~np.uint64(tail_mask)) | ((keys << width) & tail_mask)
+            # every (state, candidate) pair, as the state's index and the candidate's label
+            bits = np.unpackbits(cands.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
+                                 axis=1, count=n, bitorder="little")
+            at, v = np.divmod(np.flatnonzero(bits), n)
+            child = keep[at] & table[v]
+            live = child != 0
+            at, child = at[live], child[live]
+            v = v[live].astype(np.uint64)
+            child_keys = (base[at] ^ (np.uint64(1) << (v + tail_shift))) | v
+            # one row per distinct key; equal keys have equal candidate sets
+            by_key = np.argsort(child_keys)
+            child_keys = child_keys[by_key]
+            first = np.empty(len(by_key), dtype=bool)
+            first[:1] = True
+            np.not_equal(child_keys[1:], child_keys[:-1], out=first[1:])
+            keys, cands = child_keys[first], child[by_key[first]]
+            if not len(keys):
+                return placed
+            states += len(keys)
+            pos += 1
+        return None
+
     after_head = last_step if heads + 1 == last else step
+    # exhaustive: no budget, and a key fits in a uint64 (n bits of unused set, m labels)
+    exhaustive = budget is None and n + tail_shift <= 64
+    allowance = _HEAD_ALLOWANCE * n * n
+    table = None  # adj as numpy rows, built when a head first switches to the layer pass
     steps = [step] * n  # steps[pos]: the step that fills slot pos
     steps[last] = last_step
-    steps[heads + 1] = head_step
+    steps[heads + 1] = bounded_head_step if exhaustive else head_step
 
     unused = ((1 << n) - 1) ^ (1 << anchor)
     try:

@@ -489,3 +489,104 @@ def test_unverified_witness_raises_under_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("raised:") == 2, proc.stdout
+
+
+def _pass_and_dfs(monkeypatch, corpus):
+    """(verdict, nodes, witness) of each (g, m) in `corpus` with the layer
+    pass on every head that places a node (allowance 0), then with the DFS
+    alone (an allowance no head reaches), and the number of popcounts the
+    layer pass took in each run: the DFS takes none."""
+    layers = []
+    bitwise_count = np.bitwise_count
+
+    def counted(*args, **kwargs):
+        layers[-1] += 1
+        return bitwise_count(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bitwise_count", counted)
+    runs = []
+    for allowance in (0, 10**12):
+        monkeypatch.setattr(hamsearch, "_HEAD_ALLOWANCE", allowance)
+        layers.append(0)
+        runs.append([(out.verdict, out.nodes_expanded, out.witness)
+                     for out in (contains_ham_power(g, m) for g, m in corpus)])
+    return runs, layers
+
+
+def test_layer_pass_matches_dfs_on_digest_corpus(monkeypatch):
+    corpus = [(g, m) for i, m, n, budget, g in _digest_corpus() if budget is None]
+    (passed, dfs), (layers, none) = _pass_and_dfs(monkeypatch, corpus)
+    assert passed == dfs
+    assert layers and not none
+
+
+def test_layer_pass_matches_dfs_on_seeded_graphs(monkeypatch):
+    # m = 1..4 and m + 2 <= n <= 18 on three kinds of base: none, K_{a, n-a}
+    # and patched bipartite (m <= 3: at m = 4 a proof can take 30 s of DFS),
+    # each with a G(n, p) part near where the power first appears
+    rng = random.Random(3232)
+    corpus = []
+    for i in range(64):
+        m = 1 + i % 4
+        n = rng.randint(m + 2, 18)
+        kind = i // 4 % (3 if m < 4 else 2)
+        if kind == 0:
+            base, q = Graph(n), 0.25 + 0.15 * m
+        elif kind == 1:
+            a = rng.randint(1, n // 2)
+            base, q = Graph(n, [(u, v) for u in range(a) for v in range(a, n)]), 0.05 + 0.1 * m
+        else:
+            n += n % 2
+            base, q = patched_bipartite(n, Fraction(1, 4)), 0.05 + 0.1 * m
+        corpus.append((union(base, sample_gnp(n, min(1.0, q + rng.uniform(-0.1, 0.1)), 32000 + i)), m))
+    (passed, dfs), (layers, none) = _pass_and_dfs(monkeypatch, corpus)
+    assert passed == dfs
+    assert {verdict for verdict, _, _ in dfs} == {FOUND, NOT_FOUND}
+    assert layers and not none
+
+
+def test_layer_pass_matches_dfs_on_criterion_11_cells(monkeypatch):
+    # the first six NotFound cells above p = 0 of the criterion-11 sweep
+    from hampower.graphs import gnp_process, pair_uniforms
+    from hampower.montecarlo import trial_seed
+
+    base = patched_bipartite(16, Fraction(1, 12))
+    ps = [i / 10 for i in range(1, 11)]
+    corpus = []
+    for t in range(6):
+        parts, _ = gnp_process(16, pair_uniforms(16, trial_seed(20260810, t)), ps, 3)
+        corpus += [(g, 2) for g in (union(base, part) for part in parts) if contains_ham_power(g, 2).verdict == NOT_FOUND]
+    corpus = corpus[:6]
+    (passed, dfs), (layers, none) = _pass_and_dfs(monkeypatch, corpus)
+    assert len(dfs) == 6 and {verdict for verdict, _, _ in dfs} == {NOT_FOUND}
+    assert passed == dfs
+    assert layers and not none
+
+
+def test_budgeted_search_keeps_the_dfs(monkeypatch):
+    # A budgeted search never reaches the layer pass: with the allowance at 0
+    # and numpy gone from the module, every outcome is the one it was.
+    corpus = [(g, m, budget) for i, m, n, budget, g in _digest_corpus() if budget is not None]
+    expected = [contains_ham_power(g, m, budget) for g, m, budget in corpus]
+    monkeypatch.setattr(hamsearch, "_HEAD_ALLOWANCE", 0)
+    monkeypatch.setattr(hamsearch, "np", None)
+    assert [contains_ham_power(g, m, budget) for g, m, budget in corpus] == expected
+    assert {out.verdict for out in expected} == {FOUND, NOT_FOUND, UNKNOWN}
+
+
+def test_layer_pass_matches_dfs_under_memo_cap(monkeypatch):
+    # A head whose states would reach the cap goes back to the DFS, which
+    # re-explores past the cap; below it the pass counts what the DFS does.
+    rng = random.Random(5150)
+    corpus = [(union(patched_bipartite(14, Fraction(1, 12)), sample_gnp(14, 0.08, 14000)), 2)]
+    for i in range(24):
+        m = 1 + i % 3
+        n = rng.randint(m + 5, 12)
+        a = rng.randint(2, n // 2)
+        base = Graph(n, [(u, v) for u in range(a) for v in range(a, n)])
+        corpus.append((union(base, sample_gnp(n, 0.15 * m + rng.choice([0.0, 0.1, 0.2]), 53000 + i)), m))
+    for cap in (0, 5, 3000):
+        monkeypatch.setattr(hamsearch, "_MEMO_CAP", cap)
+        (passed, dfs), (layers, none) = _pass_and_dfs(monkeypatch, corpus)
+        assert passed == dfs, cap
+        assert bool(layers) == (cap > 0) and not none, cap  # at cap 0 every head goes back at once
